@@ -6,24 +6,20 @@ radius, then intersects every not-yet-processed pair among the enlarged
 curve set.  `closure` runs rounds to a fixed point, `derivable` stops as
 soon as a target point appears, `expand_once` runs a single round.
 
-Duplicate detection buckets objects by coarse dyadic enclosures of
-their coordinates and confirms candidates with exact sign tests, so it
-is exact while only comparing near neighbours.
+Duplicate detection hashes the objects themselves: towers keep every
+element in canonical form, so equal points and curves have equal
+coordinates term by term, and an insertion-ordered dict both drops
+exact duplicates and keeps arrival order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
-from itertools import product
 
 from .errors import ResourceLimitError
 from .geom import Circle, Curve, Line, Point, dist2, intersect
 
 ALL_OPS = frozenset({"line", "circle", "intersect"})
-
-_GRID = 16  # bucket size 2**-16
 
 
 @dataclass
@@ -60,47 +56,12 @@ class Derivability:
     state: ClosureResult
 
 
-def _mid_floor(x) -> int:
-    lo, hi = x.approx(_GRID)
-    return math.floor((lo + hi) * (1 << (_GRID - 1)))
-
-
-class _Index:
-    """Near-duplicate buckets with exact confirmation."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.buckets: dict[tuple[int, ...], list] = {}
-        self.items: list = []
-        self.offsets = tuple(product((-1, 0, 1), repeat=dim))
-
-    def _coords(self, obj):
-        if isinstance(obj, Point):
-            return (obj.x, obj.y)
-        if isinstance(obj, Line):
-            return (obj.a, obj.b, obj.c)
-        return (obj.center.x, obj.center.y, obj.r2)
-
-    def find(self, obj):
-        key = tuple(_mid_floor(c) for c in self._coords(obj))
-        for off in self.offsets:
-            cell = tuple(k + o for k, o in zip(key, off))
-            for other in self.buckets.get(cell, ()):
-                if other == obj:
-                    return other
-        return None
-
-    def add(self, obj) -> bool:
-        """True if obj was new; exact duplicates are dropped."""
-        key = tuple(_mid_floor(c) for c in self._coords(obj))
-        for off in self.offsets:
-            cell = tuple(k + o for k, o in zip(key, off))
-            for other in self.buckets.get(cell, ()):
-                if other == obj:
-                    return False
-        self.buckets.setdefault(key, []).append(obj)
-        self.items.append(obj)
-        return True
+def _admit(seen: dict, obj) -> bool:
+    """Add obj to an insertion-ordered set; True if it was new."""
+    if obj in seen:
+        return False
+    seen[obj] = None
+    return True
 
 
 class _Run:
@@ -112,39 +73,28 @@ class _Run:
         if bad:
             raise ValueError(f"unknown closure ops: {sorted(bad)}")
         self.target = target
-        self.points = _Index(2)
-        self.lines = _Index(3)
-        self.circles = _Index(3)
-        self.curve_list: list[Curve] = []
+        self.points: dict[Point, None] = {}     # insertion-ordered sets
+        self.curves: dict[Curve, None] = {}
         self.done_pairs: set[tuple[int, int]] = set()
         self.trace: list[TraceEntry] = []
         self.rounds = 0
         self.found_round: int | None = None
         for p in points:
-            if self.points.add(p):
+            if _admit(self.points, p):
                 self.trace.append(TraceEntry(p, 0, "given"))
         for c in curves:
-            idx = self.lines if isinstance(c, Line) else self.circles
-            if idx.add(c):
-                self.curve_list.append(c)
+            if _admit(self.curves, c):
                 self.trace.append(TraceEntry(c, 0, "given"))
-        if target is not None and self._find_target() is not None:
+        if target is not None and (target in self.points
+                                   or target in self.curves):
             self.found_round = 0
-
-    def _find_target(self):
-        t = self.target
-        if isinstance(t, Point):
-            return self.points.find(t)
-        if isinstance(t, Line):
-            return self.lines.find(t)
-        return self.circles.find(t)
 
     @property
     def size(self) -> int:
-        return len(self.points.items) + len(self.curve_list)
+        return len(self.points) + len(self.curves)
 
     def result(self, complete: bool) -> ClosureResult:
-        return ClosureResult(list(self.points.items), list(self.curve_list),
+        return ClosureResult(list(self.points), list(self.curves),
                              self.rounds, complete, self.trace)
 
     def _check_budget(self):
@@ -154,7 +104,7 @@ class _Run:
                 partial=self.result(False))
 
     def _add_point(self, p: Point, rule: str, parents: tuple) -> bool:
-        if not self.points.add(p):
+        if not _admit(self.points, p):
             return False
         self.trace.append(TraceEntry(p, self.rounds, rule, parents))
         self._check_budget()
@@ -164,10 +114,8 @@ class _Run:
         return True
 
     def _add_curve(self, c: Curve, rule: str, parents: tuple) -> bool:
-        idx = self.lines if isinstance(c, Line) else self.circles
-        if not idx.add(c):
+        if not _admit(self.curves, c):
             return False
-        self.curve_list.append(c)
         self.trace.append(TraceEntry(c, self.rounds, rule, parents))
         self._check_budget()
         if (isinstance(self.target, (Line, Circle)) and self.found_round is None
@@ -179,7 +127,7 @@ class _Run:
         """One saturation round; returns True if anything new appeared."""
         self.rounds += 1
         grew = False
-        pts = list(self.points.items)
+        pts = list(self.points)
         if "line" in self.ops:
             for j in range(len(pts)):
                 for i in range(j):
@@ -198,13 +146,14 @@ class _Run:
                     if self.found_round is not None:
                         return grew
         if "intersect" in self.ops:
-            n = len(self.curve_list)
+            curves = list(self.curves)      # stable: dicts keep arrival order
+            n = len(curves)
             for j in range(n):
                 for i in range(j):
                     if (i, j) in self.done_pairs:
                         continue
                     self.done_pairs.add((i, j))
-                    u, v = self.curve_list[i], self.curve_list[j]
+                    u, v = curves[i], curves[j]
                     for p in intersect(u, v):
                         grew |= self._add_point(p, "intersect", (u, v))
                     if self.found_round is not None:

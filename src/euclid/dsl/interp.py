@@ -376,7 +376,7 @@ def other_intersection(p: Point, g, h) -> Point:
     the curves meet only tangentially at p.
     """
     pts = intersect(g, h)
-    if not any(q == p for q in pts):
+    if p not in pts:
         raise DegenerateInputError("point is not an intersection of the curves")
     others = [q for q in pts if q != p]
     if not others:

@@ -2,13 +2,21 @@
 
 A `Tower` is a session that owns an append-only list of radicands
 r_1, r_2, ... where each r_i is a positive element using only earlier
-radicands and (by construction) has no square root expressible from
-earlier radicands alone.  A `Constructible` is an element of the field
+radicands.  A `Constructible` is an element of the field
 Q(sqrt(r_1), ..., sqrt(r_n)), stored sparsely as a map from sorted
-tuples of radicand indices to Fraction coefficients: the key (i, j)
-carries the coefficient of sqrt(r_i)*sqrt(r_j).  An element's height is
-the number of radicands it transitively depends on, i.e. the length of
-the smallest sub-tower containing it.
+tuples of radicand indices to nonzero Fraction coefficients: the key
+(i, j) carries the coefficient of sqrt(r_i)*sqrt(r_j).  An element's
+height is the number of radicands it transitively depends on, i.e. the
+length of the smallest sub-tower containing it.
+
+Canonicity invariant: a radicand is appended only after the square-root
+search has certified that its root lies outside the whole field built so
+far.  The field then has degree 2**n over Q and the radical products form
+a basis, so each element has exactly one term map.  When the search runs
+out of `sqrt_search_budget` it cannot certify that, and `sqrt` raises
+ResourceLimitError instead of extending the tower.  Equality and hashing
+are therefore structural: two elements of one tower are equal exactly
+when their term maps are.
 
 All predicates (sign, equality, comparisons) are exact.  `approx`
 returns dyadic enclosing intervals and never feeds back into decisions.
@@ -36,10 +44,15 @@ _ZERO = Fraction(0)
 
 
 def _acc(out: Terms, k: Key, c: Fraction) -> None:
-    v = out.get(k, _ZERO) + c
+    # c is nonzero, like every stored coefficient, so a new key keeps it
+    v = out.get(k)
+    if v is None:
+        out[k] = c
+        return
+    v += c
     if v:
         out[k] = v
-    elif k in out:
+    else:
         del out[k]
 
 
@@ -108,6 +121,7 @@ class Tower:
         self._rad_inv: list[Terms] = []
         self._sqrt_memo: dict[tuple, Constructible] = {}
         self._iv_cache: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+        self._monos: dict[tuple[Key, Key], Key | Terms] = {}   # see _mono
         self._lock = threading.RLock()
         self.zero = self._make({})
         self.one = self._make({(): Fraction(1)})
@@ -156,21 +170,32 @@ class Tower:
 
     def _mul_t(self, u: Terms, v: Terms) -> Terms:
         out: Terms = {}
+        monos = self._monos
         for ku, cu in u.items():
             for kv, cv in v.items():
                 c = cu * cv
-                su, sv = set(ku), set(kv)
-                common = su & sv
-                sym = tuple(sorted(su ^ sv))
-                if not common:
-                    _acc(out, sym, c)
-                    continue
-                part: Terms = {sym: c}
-                for i in common:
-                    part = self._mul_t(part, self._radicands[i - 1])
-                for k2, c2 in part.items():
-                    _acc(out, k2, c2)
+                m = monos.get((ku, kv))
+                if m is None:
+                    m = self._mono(ku, kv)
+                if type(m) is tuple:
+                    _acc(out, m, c)
+                else:
+                    for k2, c2 in m.items():
+                        _acc(out, k2, c * c2)
         return out
+
+    def _mono(self, ku: Key, kv: Key) -> "Key | Terms":
+        """sqrt(ku)*sqrt(kv) in the basis: a key when ku and kv share no
+        index, else the term map of the radicand product times a key."""
+        su, sv = set(ku), set(kv)
+        common = su & sv
+        m: Key | Terms = tuple(sorted(su ^ sv))
+        if common:
+            m = {m: Fraction(1)}
+            for i in common:
+                m = self._mul_t(m, self._radicands[i - 1])
+        self._monos[(ku, kv)] = m
+        return m
 
     def _sign_t(self, terms: Terms) -> int:
         if not terms:
@@ -277,7 +302,8 @@ class Tower:
                 budget = [self.sqrt_search_budget]
                 w = self._try_sqrt_t(x._terms, len(self._radicands), budget)
             except _SearchBudget:
-                w = None    # cannot certify an in-field root; extend
+                # an uncertified radicand would break canonicity
+                raise ResourceLimitError("square-root search budget exhausted")
             if w is None:
                 new_height = len(self._used_of(x._terms)) + 1
                 if new_height > self.height_cap:
@@ -394,7 +420,7 @@ class Constructible:
         return self.tower._sign_t(self._terms)
 
     def __bool__(self) -> bool:
-        return self.sign() != 0
+        return bool(self._terms)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -442,7 +468,7 @@ class Constructible:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.sign() == 0:
+        if not o._terms:
             raise ZeroDivisionError("division by zero")
         return self.tower._make(
             self.tower._mul_t(self._terms, self.tower._inv_t(o._terms)))
@@ -462,9 +488,7 @@ class Constructible:
             return False
         if o is None:
             return NotImplemented
-        if self._terms == o._terms:
-            return True
-        return self.tower._sign_t(_sub_t(self._terms, o._terms)) == 0
+        return self._terms == o._terms
 
     def __ne__(self, other):
         r = self.__eq__(other)
@@ -495,13 +519,16 @@ class Constructible:
         return self.tower._sign_t(_sub_t(self._terms, o._terms)) >= 0
 
     def __hash__(self):
-        # structural; canonical towers make value-equal elements identical
-        return hash((id(self.tower), self._key()))
+        # structural, like __eq__; elements of different towers may collide
+        return hash(self._key())
 
     # -- roots, polynomials, enclosures --------------------------------------
 
     def sqrt(self) -> "Constructible":
-        """Exact square root; extends the tower only when it has to."""
+        """Exact square root; extends the tower only when it has to.
+
+        Raises ResourceLimitError when the search budget or the height
+        cap runs out before the root is found or adjoined."""
         return self.tower._sqrt(self)
 
     def try_sqrt_in_field(self, max_index: int | None = None) -> "Constructible | None":

@@ -127,6 +127,7 @@ class Position:
     def __init__(self, points=(), curves=()):
         self.points: list[Point] = []
         self.curves: list = []
+        self._members: set = set()
         for p in points:
             self.add(p)
         for c in curves:
@@ -140,15 +141,14 @@ class Position:
 
     def add(self, obj) -> bool:
         """Append if new; True when the position grew."""
-        seq = self.points if isinstance(obj, Point) else self.curves
-        if any(o == obj for o in seq):
+        if obj in self._members:
             return False
-        seq.append(obj)
+        self._members.add(obj)
+        (self.points if isinstance(obj, Point) else self.curves).append(obj)
         return True
 
     def contains(self, obj) -> bool:
-        seq = self.points if isinstance(obj, Point) else self.curves
-        return any(o == obj for o in seq)
+        return obj in self._members
 
     @property
     def size(self) -> int:
@@ -529,7 +529,7 @@ class CertificateBob:
             p = self.cert.enumerate_in_disk(Disk(q, rho2))
             if p is None:
                 continue
-            if any(p == e for e in position.points):
+            if position.contains(p):
                 continue
             if any(c.contains(p) for c in position.curves):
                 continue

@@ -59,26 +59,22 @@ def replay_trace(trace, points) -> bool:
     intersection step crosses two known lines, and every recorded
     result matches the recomputation exactly.
     """
-    known_points = list(points)
-    known_lines = []
+    known_points = set(points)
+    known_lines = set()
     for step in trace:
         u, v = step.operands
         if step.op == "line":
-            if not any(u == p for p in known_points):
-                return False
-            if not any(v == p for p in known_points):
+            if u not in known_points or v not in known_points:
                 return False
             if Line.through(u, v) != step.result:
                 return False
-            known_lines.append(step.result)
+            known_lines.add(step.result)
         elif step.op == "intersect":
-            if not any(u == l for l in known_lines):
+            if u not in known_lines or v not in known_lines:
                 return False
-            if not any(v == l for l in known_lines):
+            if step.result not in intersect(u, v):
                 return False
-            if not any(step.result == p for p in intersect(u, v)):
-                return False
-            known_points.append(step.result)
+            known_points.add(step.result)
         else:
             return False
     return True

@@ -176,7 +176,7 @@ def sample_point(tower, region: Region, rng: random.Random,
             p = point(tower, qx, qy)
             if not region.contains(p):
                 continue
-            if any(p == a for a in avoid_points):
+            if p in avoid_points:
                 continue
             if any(c.contains(p) for c in avoid_curves):
                 continue

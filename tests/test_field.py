@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from euclid.errors import (
     NegativeRadicandError,
@@ -257,3 +258,62 @@ def test_hash_consistency_for_identical_builds():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_hash_is_independent_of_the_tower():
+    a = 1 + Tower().from_rational(2).sqrt()
+    b = 1 + Tower().from_rational(2).sqrt()
+    assert hash(a) == hash(b)
+    assert a != b
+
+
+def test_sqrt_budget_exhaustion_raises_instead_of_extending():
+    # 5 + 2*sqrt(6) is (sqrt(2) + sqrt(3))**2, but a 3-step search cannot
+    # find that root; a radicand added uncertified would give the value
+    # sqrt(2) + sqrt(3) two term maps that compare equal and hash apart
+    t = Tower(sqrt_search_budget=3)
+    with pytest.raises(ResourceLimitError):
+        (5 + 2 * t.from_rational(6).sqrt()).sqrt()
+        t.from_rational(2).sqrt()
+    assert t.height == 1
+
+
+_small = st.integers(-3, 3)
+# (kind, q, c, i, d, j): w = q + c*pool[i] + d*pool[j]; kind 0 takes the
+# root of |w|, usually a new radicand; kind 1 the root of w*w, which is
+# |w| again and must be found inside the field
+_index = st.integers(0, 5)
+_radicand = st.tuples(st.booleans(), st.sampled_from([2, 3, 5, 6, 7]),
+                      _small, _index, _small, _index)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(budget=st.sampled_from([3, 12, 60, 50_000]),
+       rads=st.lists(_radicand, min_size=1, max_size=4),
+       coeffs=st.lists(_small, min_size=6, max_size=6))
+def test_structural_equality_agrees_with_sign_descent(budget, rads, coeffs):
+    t = Tower(sqrt_search_budget=budget, height_cap=3)
+    pool = [t.one]
+    elems = []
+    try:
+        for kind, q, c, i, d, j in rads:
+            w = q + c * pool[i % len(pool)] + d * pool[j % len(pool)]
+            if not w:
+                continue
+            w = w if w > 0 else -w
+            root = (w * w if kind else w).sqrt()
+            pool.append(root)
+            if kind:
+                elems.append(w)
+        a = sum((k * p for k, p in zip(coeffs, pool)), t.zero)
+        b = sum((k * p for k, p in zip(reversed(coeffs), pool)), t.zero)
+        elems += pool + [a, b, (a * a).sqrt(), -a if a < 0 else a]
+    except ResourceLimitError:
+        return
+    for x in elems:
+        for y in elems:
+            equal = x == y
+            assert equal == (t._sign_t((x - y)._terms) == 0)
+            if equal:
+                assert hash(x) == hash(y)
+
