@@ -267,7 +267,7 @@ def _post_perp_bisector(inputs, outputs):
     if not pb.contains(midpoint(a, b)):
         return "bisector misses the midpoint of AB"
     dx, dy = pb.direction()
-    if ((b.x - a.x) * dx + (b.y - a.y) * dy).sign() != 0:
+    if (b.x - a.x) * dx + (b.y - a.y) * dy:
         return "bisector is not perpendicular to AB"
     return None
 
@@ -279,7 +279,7 @@ def _post_perp_from_point(inputs, outputs):
         return "perpendicular misses the given point"
     lx, ly = l.direction()
     px, py = perp.direction()
-    if (lx * px + ly * py).sign() != 0:
+    if lx * px + ly * py:
         return "output is not perpendicular to the given line"
     return None
 
@@ -294,7 +294,7 @@ def _post_angle_bisector(inputs, outputs):
     e1, e2 = l1.eval(w), l2.eval(w)
     n1 = l1.a * l1.a + l1.b * l1.b
     n2 = l2.a * l2.a + l2.b * l2.b
-    if (e1 * e1 * n2 - e2 * e2 * n1).sign() != 0:
+    if e1 * e1 * n2 - e2 * e2 * n1:
         return "bisector points are not equidistant from the two lines"
     return None
 
@@ -314,9 +314,9 @@ def _post_incenter(inputs, outputs):
     nbc = lbc.a * lbc.a + lbc.b * lbc.b
     nca = lca.a * lca.a + lca.b * lca.b
     eab, ebc, eca = lab.eval(i), lbc.eval(i), lca.eval(i)
-    if (eab * eab * nbc - ebc * ebc * nab).sign() != 0:
+    if eab * eab * nbc - ebc * ebc * nab:
         return "center is not equidistant from sides AB and BC"
-    if (ebc * ebc * nca - eca * eca * nbc).sign() != 0:
+    if ebc * ebc * nca - eca * eca * nbc:
         return "center is not equidistant from sides BC and CA"
     return None
 
@@ -349,7 +349,7 @@ def _post_compass_line_line(inputs, outputs):
 def _post_sqrt3(inputs, outputs):
     a, b = inputs
     p, q = outputs
-    if (dist2(p, q) - 3 * dist2(a, b)).sign() != 0:
+    if dist2(p, q) - 3 * dist2(a, b):
         return "chord squared length is not three times the base"
     return None
 

@@ -1,13 +1,18 @@
 """Interpreter for construction programs.
 
 Runs a parsed program over exact geometric inputs.  Every predicate is
-decided with exact sign tests; arbitrary-point statements are answered
-by an oracle and the answer is verified to lie strictly inside the
-requested region before it is admitted.  Runs abort with a stable
-machine-readable reason when a choose is not uniquely satisfied, an
-intersection has a different cardinality than declared, a while budget
-runs dry with its test still true, an oracle misbehaves, a step budget
-is exceeded, or a geometric step degenerates.
+decided with exact sign tests.  The statement executor is a generator:
+it yields one request per construction or arbitrary-point statement
+(`RLine`, `RCircle`, `RIntersect`, `RPointInDisk`, `RPointInCell`) and
+builds the object only after the yield, and an arbitrary-point
+statement binds whatever answer is sent back.  The driver verifies that
+answer: `run` asks an oracle and checks that the point lies strictly
+inside the requested region, and the game's scripted Alice forwards
+requests to the referee, which checks Bob's answer.  Runs abort with a
+stable machine-readable reason when a choose is not uniquely satisfied,
+an intersection has a different cardinality than declared, a while
+budget runs dry with its test still true, an oracle misbehaves, a step
+budget is exceeded, or a geometric step degenerates.
 """
 
 from __future__ import annotations
@@ -45,6 +50,43 @@ from .ast import (
 _COND_SIGN = {"inside": -1, "outside": 1, "pos": 1, "neg": -1}
 
 DEFAULT_MAX_STEPS = 10_000
+
+
+# ---------------------------------------------------------------------------
+# Requests a run makes of its driver.
+
+@dataclass(frozen=True)
+class RLine:
+    p: Point
+    q: Point
+
+
+@dataclass(frozen=True)
+class RCircle:
+    """Circle centered at o with the distance from a to b as radius."""
+
+    o: Point
+    a: Point
+    b: Point
+
+
+@dataclass(frozen=True)
+class RIntersect:
+    g: object
+    h: object
+
+
+@dataclass(frozen=True)
+class RPointInDisk:
+    disk: Disk
+
+
+@dataclass(frozen=True)
+class RPointInCell:
+    cell: Cell
+
+
+Request = RLine | RCircle | RIntersect | RPointInDisk | RPointInCell
 
 
 @dataclass
@@ -126,7 +168,8 @@ class _State:
         return [v for v in self._env.values() if isinstance(v, (Line, Circle))]
 
 
-def _fmt(obj) -> str:
+def fmt(obj) -> str:
+    """Text of an object for traces and transcripts."""
     if isinstance(obj, Point):
         return f"({obj.x!r}, {obj.y!r})"
     return repr(obj)
@@ -166,15 +209,13 @@ def build_region(env: dict, tower, expr):
 
 
 class _Run:
-    def __init__(self, program: Program, env: dict, tower, oracle,
-                 max_steps: int):
-        self.program = program
+    def __init__(self, env: dict, tower, max_steps: int):
         self.env = env
         self.tower = tower
-        self.oracle = oracle
         self.max_steps = max_steps
         self.steps = 0
         self.trace: list[TraceEvent] = []
+        self.asking = None      # name the pending point request binds
 
     def abort(self, reason: str, message: str):
         self.trace.append(TraceEvent("abort", f"{reason}: {message}"))
@@ -188,37 +229,44 @@ class _Run:
 
     def exec_block(self, stmts):
         for st in stmts:
-            self.exec_stmt(st)
+            yield from self.exec_stmt(st)
 
     def exec_stmt(self, st):
+        """Execute one statement, yielding its requests.
+
+        Degeneracy is checked before the yield and the object is built
+        after it, so a driver that stops on a request builds nothing.
+        """
         self.tick()
         if isinstance(st, LetLine):
             p, q = self.env[st.p], self.env[st.q]
-            try:
-                obj = Line.through(p, q)
-            except DegenerateInputError as exc:
-                self.abort("degenerate-step", f"line {st.name}: {exc}")
+            if p == q:
+                self.abort("degenerate-step", f"line {st.name}: "
+                           "line through two identical points")
+            yield RLine(p, q)
+            obj = Line.through(p, q)
             self.env[st.name] = obj
             self.trace.append(TraceEvent("line", f"{st.name} = line({st.p}, {st.q})",
                                          (obj, p, q)))
         elif isinstance(st, LetCircle):
             center, a, b = (self.env[st.center], self.env[st.a],
                             self.env[st.b])
-            try:
-                obj = Circle(center, dist2(a, b))
-            except DegenerateInputError as exc:
-                self.abort("degenerate-step", f"circle {st.name}: {exc}")
+            if a == b:
+                self.abort("degenerate-step", f"circle {st.name}: "
+                           "circle needs a positive squared radius")
+            yield RCircle(center, a, b)
+            obj = Circle(center, dist2(a, b))
             self.env[st.name] = obj
             self.trace.append(TraceEvent(
                 "circle", f"{st.name} = circle({st.center}; {st.a}, {st.b})",
                 (obj, center, a, b)))
         elif isinstance(st, LetIntersect):
             g, h = self.env[st.g], self.env[st.h]
-            try:
-                pts = intersect(g, h)
-            except IdenticalCurvesError:
+            if g == h:
                 self.abort("degenerate-step",
                            f"intersect({st.g}, {st.h}) of identical curves")
+            yield RIntersect(g, h)
+            pts = intersect(g, h)
             if len(pts) != len(st.names):
                 self.abort("intersection-count-mismatch",
                            f"intersect({st.g}, {st.h}) gave {len(pts)} "
@@ -253,41 +301,51 @@ class _Run:
             self.trace.append(TraceEvent(
                 "choose", f"{st.name} = choose -> {cand}", (obj,)))
         elif isinstance(st, LetArbitrary):
-            region = self.build_region(st.region)
-            answer = self.oracle.answer(region, _State(self.tower, self.env))
-            if answer is None:
-                self.abort("region-scan-exhausted",
-                           f"oracle found no point for {st.name}")
-            if not isinstance(answer, Point) or answer.tower is not self.tower:
-                self.abort("oracle-violation",
-                           f"oracle answer for {st.name} is not a point "
-                           "of this session")
-            if not region.contains(answer):
-                self.abort("oracle-violation",
-                           f"oracle answer {_fmt(answer)} for {st.name} "
-                           "is outside the requested region")
+            region = build_region(self.env, self.tower, st.region)
+            self.asking = st.name
+            answer = yield (RPointInDisk(region) if isinstance(region, Disk)
+                            else RPointInCell(region))
             self.env[st.name] = answer
             self.trace.append(TraceEvent(
-                "arbitrary", f"{st.name} = arbitrary -> {_fmt(answer)}",
+                "arbitrary", f"{st.name} = arbitrary -> {fmt(answer)}",
                 (answer,)))
         elif isinstance(st, If):
             if self.eval_test(st.test):
-                self.exec_block(st.then)
+                yield from self.exec_block(st.then)
             else:
-                self.exec_block(st.orelse)
+                yield from self.exec_block(st.orelse)
         elif isinstance(st, While):
             count = 0
             while self.eval_test(st.test):
                 if count == st.budget:
                     self.abort("while-budget-exhausted",
                                f"test still true after {st.budget} iterations")
-                self.exec_block(st.body)
+                yield from self.exec_block(st.body)
                 count += 1
         else:       # pragma: no cover - checker admits no other nodes
             raise TypeError(f"unexpected statement {st!r}")
 
-    def build_region(self, expr):
-        return build_region(self.env, self.tower, expr)
+    def ask(self, oracle, request):
+        """The oracle's verified answer to a point request, else None."""
+        if isinstance(request, RPointInDisk):
+            region = request.disk
+        elif isinstance(request, RPointInCell):
+            region = request.cell
+        else:
+            return None
+        answer = oracle.answer(region, _State(self.tower, self.env))
+        if answer is None:
+            self.abort("region-scan-exhausted",
+                       f"oracle found no point for {self.asking}")
+        if not isinstance(answer, Point) or answer.tower is not self.tower:
+            self.abort("oracle-violation",
+                       f"oracle answer for {self.asking} is not a point "
+                       "of this session")
+        if not region.contains(answer):
+            self.abort("oracle-violation",
+                       f"oracle answer {fmt(answer)} for {self.asking} "
+                       "is outside the requested region")
+        return answer
 
     def eval_test(self, test: Test, record: bool = True) -> bool:
         value = evaluate_test(self.env, test)
@@ -352,16 +410,33 @@ def run(program: Program, inputs, oracle=None, tower=None,
     trace so far) when the run cannot complete.
     """
     env = bind_inputs(program, inputs)
-    tower = _tower_of(env, tower)
+    state = _Run(env, _tower_of(env, tower), max_steps)
     if oracle is None:
         oracle = SamplingOracle(0)
-    state = _Run(program, env, tower, oracle, max_steps)
     for name, value in env.items():
-        state.trace.append(TraceEvent("input", f"{name} = {_fmt(value)}",
+        state.trace.append(TraceEvent("input", f"{name} = {fmt(value)}",
                                       (value,)))
-    state.exec_block(program.body)
+    steps = state.exec_block(program.body)
+    answer = None
+    while True:
+        try:
+            request = steps.send(answer)
+        except StopIteration:
+            break
+        answer = state.ask(oracle, request)
     outputs = tuple(env[name] for name in program.returns)
     return RunResult(outputs, dict(env), state.trace, state.steps)
+
+
+def requests(program: Program, inputs):
+    """A run of a checked program as a generator of its requests.
+
+    Send each point request's answer back in, unverified; send None
+    after a construction request.  Raises RunAbort as `run` does.
+    """
+    env = bind_inputs(program, inputs)
+    return _Run(env, _tower_of(env, None),
+                DEFAULT_MAX_STEPS).exec_block(program.body)
 
 
 def recorded_answers(trace) -> list[Point]:

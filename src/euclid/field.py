@@ -519,7 +519,10 @@ class Constructible:
         return self.tower._sign_t(_sub_t(self._terms, o._terms)) >= 0
 
     def __hash__(self):
-        # structural, like __eq__; elements of different towers may collide
+        # structural, like __eq__; elements of different towers may
+        # collide, and a rational hashes as the Fraction it equals
+        if self.is_rational():
+            return hash(self._terms.get((), _ZERO))
         return hash(self._key())
 
     # -- roots, polynomials, enclosures --------------------------------------
@@ -680,7 +683,7 @@ def _parse_product(lx: _Lexer, tw: Tower) -> Constructible:
         if op == "*":
             v = v * rhs
         else:
-            if rhs.sign() == 0:
+            if not rhs:
                 raise ParseError("division by zero in number literal", col=lx.pos)
             v = v / rhs
     return v

@@ -17,17 +17,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .closure import ALL_OPS, Budget, expand_once
-from .dsl.ast import (
-    If,
-    LetArbitrary,
-    LetChoose,
-    LetCircle,
-    LetIntersect,
-    LetLine,
-    Program,
-    While,
+from .dsl.ast import Program
+from .dsl.interp import (
+    RCircle,
+    Request,
+    RIntersect,
+    RLine,
+    RPointInCell,
+    RPointInDisk,
+    fmt,
+    requests,
 )
-from .dsl.interp import bind_inputs, build_region, evaluate_test
+from .errors import RunAbort
 from .geom import Circle, Line, Point, dist2, intersect, point
 from .regions import Cell, Disk, inscribe_disk, sample_point
 
@@ -37,41 +38,8 @@ DEFAULT_MAX_MOVES = 50
 
 
 # ---------------------------------------------------------------------------
-# Requests and outcomes.
-
-@dataclass(frozen=True)
-class RLine:
-    p: Point
-    q: Point
-
-
-@dataclass(frozen=True)
-class RCircle:
-    """Circle centered at o with the distance from a to b as radius."""
-
-    o: Point
-    a: Point
-    b: Point
-
-
-@dataclass(frozen=True)
-class RIntersect:
-    g: object
-    h: object
-
-
-@dataclass(frozen=True)
-class RPointInDisk:
-    disk: Disk
-
-
-@dataclass(frozen=True)
-class RPointInCell:
-    cell: Cell
-
-
-Request = RLine | RCircle | RIntersect | RPointInDisk | RPointInCell
-
+# Outcomes.  The requests (RLine, RCircle, RIntersect, RPointInDisk,
+# RPointInCell) are the interpreter's, re-exported here.
 
 class _Stop:
     def __repr__(self) -> str:
@@ -97,20 +65,14 @@ class Aborted:
     message: str = ""
 
 
-def _fmt(obj) -> str:
-    if isinstance(obj, Point):
-        return f"({obj.x!r}, {obj.y!r})"
-    return repr(obj)
-
-
 def _request_text(request) -> str:
     if isinstance(request, RLine):
-        return f"line {_fmt(request.p)} {_fmt(request.q)}"
+        return f"line {fmt(request.p)} {fmt(request.q)}"
     if isinstance(request, RCircle):
-        return (f"circle center {_fmt(request.o)} "
-                f"radius |{_fmt(request.a)} {_fmt(request.b)}|")
+        return (f"circle center {fmt(request.o)} "
+                f"radius |{fmt(request.a)} {fmt(request.b)}|")
     if isinstance(request, RIntersect):
-        return f"intersect {_fmt(request.g)} with {_fmt(request.h)}"
+        return f"intersect {fmt(request.g)} with {fmt(request.h)}"
     if isinstance(request, RPointInDisk):
         return f"point in {request.disk!r}"
     if isinstance(request, RPointInCell):
@@ -163,12 +125,12 @@ class GameMove:
     added: tuple
 
     def text(self) -> str:
-        bob = _fmt(self.answer) if self.answer is not None else "-"
+        bob = fmt(self.answer) if self.answer is not None else "-"
         if self.request is STOP:
             alice = "stop"
         else:
             alice = _request_text(self.request)
-        grew = "; ".join(_fmt(o) for o in self.added) or "nothing"
+        grew = "; ".join(fmt(o) for o in self.added) or "nothing"
         return f"move {self.index}: ALICE {alice} / BOB {bob} / " \
                f"POSITION +{grew}"
 
@@ -193,21 +155,21 @@ def _validate(request, position: Position) -> str | None:
     if isinstance(request, RLine):
         for p in (request.p, request.q):
             if not position.contains(p):
-                return f"line endpoint {_fmt(p)} is not in the position"
+                return f"line endpoint {fmt(p)} is not in the position"
         if request.p == request.q:
             return "line through two identical points"
         return None
     if isinstance(request, RCircle):
         for p in (request.o, request.a, request.b):
             if not position.contains(p):
-                return f"circle reference {_fmt(p)} is not in the position"
+                return f"circle reference {fmt(p)} is not in the position"
         if request.a == request.b:
             return "circle with zero radius"
         return None
     if isinstance(request, RIntersect):
         for c in (request.g, request.h):
             if not isinstance(c, (Line, Circle)) or not position.contains(c):
-                return f"intersection operand {_fmt(c)} is not in the position"
+                return f"intersection operand {fmt(c)} is not in the position"
         if request.g == request.h:
             return "intersection of a curve with itself"
         return None
@@ -220,7 +182,7 @@ def _validate(request, position: Position) -> str | None:
             return "cell request without a cell"
         for curve, _ in request.cell.conds:
             if not position.contains(curve):
-                return f"cell condition on {_fmt(curve)} outside the position"
+                return f"cell condition on {fmt(curve)} outside the position"
         return None
     return f"unknown request {request!r}"
 
@@ -271,7 +233,7 @@ def play(points, curves, target, alice, bob,
                     or not region.contains(answer):
                 record.outcome = Aborted(
                     "bob-violation",
-                    f"answer {_fmt(answer)} is outside the requested region")
+                    f"answer {fmt(answer)} is outside the requested region")
                 return record
             new = [answer]
         added = tuple(obj for obj in new if position.add(obj))
@@ -289,101 +251,29 @@ def play(points, curves, target, alice, bob,
 class ScriptedAlice:
     """Plays a checked construction program as a request strategy.
 
-    Construction statements become referee requests; choose, if, and
-    while run privately on the strategy's own exact mirror of the
-    position, which stays faithful because construction requests are
-    deterministic.  Arbitrary-point statements read Bob's verified
-    answer from the previous move's record.  When the script cannot
-    continue (failed choose, empty intersection, exhausted budget) the
-    strategy stops.
+    Drives the construction-program interpreter as a request generator:
+    each construction or point request goes to the referee, and the
+    answer recorded on the last move is sent back in (None after a
+    construction request, Bob's verified point after a point request).
+    choose, if, and while run privately on the interpreter's own exact
+    mirror of the position, which stays faithful because construction
+    requests are deterministic.  When the program ends or the run
+    aborts (degenerate step, failed choose, wrong intersection count,
+    exhausted budget) the strategy stops.
     """
 
     def __init__(self, program: Program, inputs):
         self.program = program
-        self.env = bind_inputs(program, inputs)
-        self._gen = None
-        self._done = False
+        self._requests = requests(program, inputs)
+        self._started = False
 
     def __call__(self, position, moves):
-        if self._done:
-            return STOP
+        answer = moves[-1].answer if self._started else None
+        self._started = True
         try:
-            if self._gen is None:
-                self._gen = self._walk(self.program.body)
-                return next(self._gen)
-            last = moves[-1]
-            return self._gen.send(last.answer)
-        except (StopIteration, _ScriptFailure):
-            self._done = True
+            return self._requests.send(answer)
+        except (StopIteration, RunAbort):
             return STOP
-
-    def _tower(self):
-        for value in self.env.values():
-            return value.tower
-        raise _ScriptFailure
-
-    def _walk(self, block):
-        for st in block:
-            if isinstance(st, LetLine):
-                p, q = self.env[st.p], self.env[st.q]
-                if p == q:
-                    raise _ScriptFailure
-                yield RLine(p, q)
-                self.env[st.name] = Line.through(p, q)
-            elif isinstance(st, LetCircle):
-                o = self.env[st.center]
-                a, b = self.env[st.a], self.env[st.b]
-                if a == b:
-                    raise _ScriptFailure
-                yield RCircle(o, a, b)
-                self.env[st.name] = Circle(o, dist2(a, b))
-            elif isinstance(st, LetIntersect):
-                g, h = self.env[st.g], self.env[st.h]
-                if g == h:
-                    raise _ScriptFailure
-                yield RIntersect(g, h)
-                pts = intersect(g, h)
-                if len(pts) != len(st.names):
-                    raise _ScriptFailure
-                for name, p in zip(st.names, pts):
-                    self.env[name] = p
-            elif isinstance(st, LetChoose):
-                self.env[st.name] = self._choose(st)
-            elif isinstance(st, LetArbitrary):
-                region = build_region(self.env, self._tower(), st.region)
-                if isinstance(region, Disk):
-                    answer = yield RPointInDisk(region)
-                else:
-                    answer = yield RPointInCell(region)
-                if answer is None:
-                    raise _ScriptFailure
-                self.env[st.name] = answer
-            elif isinstance(st, If):
-                branch = st.then if evaluate_test(self.env, st.test) \
-                    else st.orelse
-                yield from self._walk(branch)
-            elif isinstance(st, While):
-                count = 0
-                while evaluate_test(self.env, st.test):
-                    if count == st.budget:
-                        raise _ScriptFailure
-                    yield from self._walk(st.body)
-                    count += 1
-
-    def _choose(self, st):
-        passing = []
-        for cand in st.candidates:
-            probe = dict(self.env)
-            probe[st.name] = self.env[cand]
-            if evaluate_test(probe, st.test):
-                passing.append(self.env[cand])
-        if len(passing) != 1:
-            raise _ScriptFailure
-        return passing[0]
-
-
-class _ScriptFailure(Exception):
-    pass
 
 
 def scripted_alice(program: Program, inputs) -> ScriptedAlice:

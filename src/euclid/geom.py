@@ -67,16 +67,14 @@ class Line:
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: Constructible, b: Constructible, c: Constructible):
-        sa = a.sign()
-        if sa != 0:
+        if a:
             inv = 1 / a
             a, b, c = a.tower.one, b * inv, c * inv
-        else:
-            sb = b.sign()
-            if sb == 0:
-                raise DegenerateInputError("line with zero normal vector")
+        elif b:
             inv = 1 / b
             a, b, c = a.tower.zero, a.tower.one, c * inv
+        else:
+            raise DegenerateInputError("line with zero normal vector")
         self.a = a
         self.b = b
         self.c = c
@@ -105,7 +103,7 @@ class Line:
         return self.eval(p).sign()
 
     def contains(self, p: Point) -> bool:
-        return self.side(p) == 0
+        return not self.eval(p)
 
     def direction(self) -> tuple[Constructible, Constructible]:
         return self.b, -self.a
@@ -155,7 +153,7 @@ class Circle:
         return self.eval(p).sign()
 
     def contains(self, p: Point) -> bool:
-        return self.side(p) == 0
+        return not self.eval(p)
 
     def __eq__(self, other):
         if not isinstance(other, Circle):
@@ -241,7 +239,7 @@ def intersects(u: Curve, v: Curve) -> bool:
     if isinstance(u, Line) and isinstance(v, Line):
         if u == v:
             raise IdenticalCurvesError("identical lines")
-        return (u.a * v.b - v.a * u.b).sign() != 0
+        return bool(u.a * v.b - v.a * u.b)
     if isinstance(u, Line):
         return _quadratic_disc(u, v).sign() >= 0
     if isinstance(v, Line):
@@ -258,7 +256,7 @@ def _line_line(u: Line, v: Line) -> list[Point]:
     if u == v:
         raise IdenticalCurvesError("identical lines")
     det = u.a * v.b - v.a * u.b
-    if det.sign() == 0:
+    if not det:
         return []
     x = (u.b * v.c - v.b * u.c) / det
     y = (v.a * u.c - u.a * v.c) / det
@@ -268,7 +266,7 @@ def _line_line(u: Line, v: Line) -> list[Point]:
 def _param(l: Line) -> tuple[Point, Constructible, Constructible]:
     """A point on l and a direction vector, from the normalized form."""
     tw = l.tower
-    if l.a.sign() != 0:
+    if l.a:
         return Point(-l.c, tw.zero), -l.b, tw.one
     return Point(tw.zero, -l.c), tw.one, tw.zero
 
@@ -307,7 +305,7 @@ def _line_circle(l: Line, c: Circle) -> list[Point]:
 def _radical_line(u: Circle, v: Circle) -> Line | None:
     a = 2 * (v.center.x - u.center.x)
     b = 2 * (v.center.y - u.center.y)
-    if a.sign() == 0 and b.sign() == 0:
+    if not a and not b:
         return None
     c = (u.center.x * u.center.x + u.center.y * u.center.y - u.r2
          - v.center.x * v.center.x - v.center.y * v.center.y + v.r2)
@@ -381,7 +379,7 @@ class ProjectiveMap:
         x = m[0][0] * p.x + m[0][1] * p.y + m[0][2]
         y = m[1][0] * p.x + m[1][1] * p.y + m[1][2]
         z = m[2][0] * p.x + m[2][1] * p.y + m[2][2]
-        if z.sign() == 0:
+        if not z:
             raise RangeError("point maps to the line at infinity")
         return Point(x / z, y / z)
 
@@ -405,7 +403,7 @@ class ProjectiveMap:
         inv_t = tuple(tuple(inv[j][i] for j in range(3)) for i in range(3))
         qp = _mat_mul(_mat_mul(inv_t, q), inv)
         lam = qp[0][0]
-        if lam.sign() == 0:
+        if not lam:
             return False
         for i in range(3):
             for j in range(3):

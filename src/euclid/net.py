@@ -144,7 +144,7 @@ class _Frame:
         y = (_cross(self.a, p, self.c) / den) / self.beta
         z = (_cross(self.a, self.b, p) / den) / self.gamma
         w = x + y + z
-        if w.sign() == 0:
+        if not w:
             raise DegenerateInputError(
                 "point lies on the frame's critical line")
         return y / w, z / w
@@ -156,7 +156,7 @@ class _Frame:
         wb = self.beta * self.tower.from_rational(Fraction(u))
         wc = self.gamma * self.tower.from_rational(Fraction(v))
         s = wa + wb + wc
-        if s.sign() == 0:
+        if not s:
             raise DegenerateInputError(
                 "frame point lies on the critical line")
         inv = one / s

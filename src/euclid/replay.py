@@ -116,7 +116,7 @@ class _Transport:
         else:
             self.fact(index, "compass",
                       f"{text}: point equidistant from center", True,
-                      (d - rec.expected).sign() == 0)
+                      d == rec.expected)
 
     def visit(self, index: int, ev) -> None:
         if ev.kind == "input":

@@ -267,6 +267,15 @@ def test_hash_is_independent_of_the_tower():
     assert a != b
 
 
+def test_rational_element_hashes_as_the_number_it_equals():
+    a = Tower().from_rational(3)
+    assert a == 3
+    assert len({a, 3}) == 1
+    assert {3: "x"}[a] == "x"
+    half = Tower().from_rational(Fraction(1, 2))
+    assert {Fraction(1, 2): "h"}[half] == "h"
+
+
 def test_sqrt_budget_exhaustion_raises_instead_of_extending():
     # 5 + 2*sqrt(6) is (sqrt(2) + sqrt(3))**2, but a 3-step search cannot
     # find that root; a radicand added uncertified would give the value

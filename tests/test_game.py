@@ -1,14 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from euclid import corpus
 from euclid.closure import ALL_OPS
+from euclid.dsl import ReplayOracle, SamplingOracle, parse_program, run
 from euclid.field import Tower
 from euclid.game import (
     STOP,
     AliceWins,
     Aborted,
+    RCircle,
     RIntersect,
     RLine,
     RPointInCell,
@@ -96,6 +99,85 @@ def test_scripted_alice_stops_after_script_without_win():
     assert record.outcome == Timeout(20)
     assert record.moves[-1].text().endswith("ALICE stop / BOB - / "
                                             "POSITION +nothing")
+
+
+def _construction_requests(trace):
+    """The referee requests a run's construction events stand for."""
+    out = []
+    for ev in trace:
+        if ev.kind == "line":
+            _, p, q = ev.objs
+            out.append(RLine(p, q))
+        elif ev.kind == "circle":
+            _, o, a, b = ev.objs
+            out.append(RCircle(o, a, b))
+        elif ev.kind == "intersect":
+            out.append(RIntersect(*ev.objs[:2]))
+    return out
+
+
+def _corpus_inputs(e, tower, index):
+    if index == 0:
+        return e.canonical_inputs(tower)
+    return e.sample_inputs(random.Random(f"game:{e.name}:{index}"), tower)
+
+
+@pytest.mark.parametrize("name", [e.name for e in corpus.entries()
+                                  if not e.expect_fail])
+def test_game_play_equals_run_with_bobs_answers(name):
+    e = corpus.entry(name)
+    program = e.program()
+    for index, seed in ((0, 0), (0, 1), (1, 2), (2, 3)):
+        tw = Tower(height_cap=corpus.DEFAULT_HEIGHT_CAP)
+        inputs = _corpus_inputs(e, tw, index)
+        target = run(program, inputs, SamplingOracle(seed + 100)).outputs[-1]
+        points = [o for o in inputs if isinstance(o, Point)]
+        curves = [o for o in inputs if not isinstance(o, Point)]
+        record = play(points, curves, target, scripted_alice(program, inputs),
+                      sampling_bob(seed), max_moves=1000)
+        assert isinstance(record.outcome, AliceWins), (index, seed)
+        requests = [m.request for m in record.moves]
+        answers = [m.answer for m in record.moves
+                   if isinstance(m.request, (RPointInDisk, RPointInCell))]
+        result = run(program, inputs, ReplayOracle(answers))
+        assert _construction_requests(result.trace) == \
+            [r for r in requests if isinstance(r, (RLine, RCircle, RIntersect))]
+        assert all(record.position.contains(o) for o in result.outputs)
+
+
+def test_scripted_intersection_count_mismatch_stops_after_the_request():
+    tw = Tower()
+    a, b = point(tw, 0, 0), point(tw, 2, 0)
+    c, d = point(tw, 0, 1), point(tw, 2, 1)
+    program = parse_program("""
+        construction parallels(point A, point B, point C, point D) {
+            let g = line(A, B);
+            let h = line(C, D);
+            let [X] = intersect(g, h);
+            return X;
+        }
+    """)
+    record = play([a, b, c, d], [], point(tw, 9, 9),
+                  scripted_alice(program, [a, b, c, d]), None)
+    assert [type(m.request) for m in record.moves] == \
+        [RLine, RLine, RIntersect, type(STOP)]
+    assert record.moves[2].added == ()
+    assert record.outcome == Timeout(50)
+
+
+def test_scripted_degenerate_line_stops_before_any_request():
+    tw = Tower()
+    a = point(tw, 1, 1)
+    program = parse_program("""
+        construction same_point_line(point A, point B) {
+            let g = line(A, B);
+            return g;
+        }
+    """)
+    record = play([a], [], point(tw, 9, 9), scripted_alice(program, [a, a]),
+                  None)
+    assert [m.request for m in record.moves] == [STOP]
+    assert record.outcome == Timeout(50)
 
 
 def test_malformed_requests_abort():
