@@ -101,11 +101,21 @@ class TraceEvent:
       choose:    (chosen,)
       arbitrary: (answer,)
       test:      (value, kind, negated, *argument objects)
+
+    `text` is built when it is read: the label, followed for input and
+    arbitrary events by the text of their object.  That text costs an
+    `approx` call, which runs and games that never read it skip.
     """
 
     kind: str                   # input/line/circle/intersect/choose/arbitrary/test
-    text: str
+    label: str
     objs: tuple = ()
+
+    @property
+    def text(self) -> str:
+        if self.kind in ("input", "arbitrary"):
+            return self.label + fmt(self.objs[0])
+        return self.label
 
 
 @dataclass
@@ -307,8 +317,7 @@ class _Run:
                             else RPointInCell(region))
             self.env[st.name] = answer
             self.trace.append(TraceEvent(
-                "arbitrary", f"{st.name} = arbitrary -> {fmt(answer)}",
-                (answer,)))
+                "arbitrary", f"{st.name} = arbitrary -> ", (answer,)))
         elif isinstance(st, If):
             if self.eval_test(st.test):
                 yield from self.exec_block(st.then)
@@ -414,8 +423,7 @@ def run(program: Program, inputs, oracle=None, tower=None,
     if oracle is None:
         oracle = SamplingOracle(0)
     for name, value in env.items():
-        state.trace.append(TraceEvent("input", f"{name} = {fmt(value)}",
-                                      (value,)))
+        state.trace.append(TraceEvent("input", f"{name} = ", (value,)))
     steps = state.exec_block(program.body)
     answer = None
     while True:

@@ -3,11 +3,13 @@
 A `Tower` is a session that owns an append-only list of radicands
 r_1, r_2, ... where each r_i is a positive element using only earlier
 radicands.  A `Constructible` is an element of the field
-Q(sqrt(r_1), ..., sqrt(r_n)), stored sparsely as a map from sorted
-tuples of radicand indices to nonzero Fraction coefficients: the key
-(i, j) carries the coefficient of sqrt(r_i)*sqrt(r_j).  An element's
-height is the number of radicands it transitively depends on, i.e. the
-length of the smallest sub-tower containing it.
+Q(sqrt(r_1), ..., sqrt(r_n)), stored sparsely as integer numerators over
+one shared positive denominator.  `_num` maps a basis bitmask to a
+nonzero integer: bit i-1 of the mask stands for sqrt(r_i), so the mask
+0b101 carries the numerator of sqrt(r_1)*sqrt(r_3).  `_den` is the
+denominator of every term, and the pair is kept in lowest terms.  An
+element's height is the number of radicands it transitively depends on,
+i.e. the length of the smallest sub-tower containing it.
 
 Canonicity invariant: a radicand is appended only after the square-root
 search has certified that its root lies outside the whole field built so
@@ -16,16 +18,24 @@ a basis, so each element has exactly one term map.  When the search runs
 out of `sqrt_search_budget` it cannot certify that, and `sqrt` raises
 ResourceLimitError instead of extending the tower.  Equality and hashing
 are therefore structural: two elements of one tower are equal exactly
-when their term maps are.
+when their numerator maps and denominators are.
 
-All predicates (sign, equality, comparisons) are exact.  `approx`
-returns dyadic enclosing intervals and never feeds back into decisions.
+All predicates (sign, equality, comparisons) are exact.  Signs are read
+from certified integer enclosures L <= x * 2**p <= H: every radicand is
+positive, so each basis monomial is a positive real bounded by rounded
+integer square roots of its radicands' own enclosures.  The precision p
+doubles from 64 until the enclosure excludes 0, which it must do, since
+a nonempty term map in a canonical tower is a nonzero real.  `approx`
+reads its dyadic intervals from the same enclosures.  The squaring
+descent `Tower._sign_t` decides signs by exact arithmetic alone; it is
+kept as the reference the tests check the enclosures against.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from fractions import Fraction
 
@@ -36,73 +46,102 @@ from .errors import (
     SessionMismatchError,
 )
 
-Key = tuple[int, ...]
-Terms = dict[Key, Fraction]
+Num = dict[int, int]
+Terms = tuple[Num, int]         # (numerators by basis mask, denominator)
 
 DEFAULT_HEIGHT_CAP = 6
-_ZERO = Fraction(0)
+_START_PREC = 64
 
 
-def _acc(out: Terms, k: Key, c: Fraction) -> None:
-    # c is nonzero, like every stored coefficient, so a new key keeps it
-    v = out.get(k)
-    if v is None:
-        out[k] = c
-        return
-    v += c
-    if v:
-        out[k] = v
-    else:
-        del out[k]
+def _norm(num: Num, den: int) -> Terms:
+    """(num, den) in lowest terms, with zero numerators dropped."""
+    if 0 in num.values():
+        num = {k: c for k, c in num.items() if c}
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {k: c // g for k, c in num.items()}
+            den //= g
+    return num, den
 
 
-def _maxidx(terms: Terms) -> int:
-    h = 0
-    for k in terms:
-        if k and k[-1] > h:
-            h = k[-1]
-    return h
+def _top(num: Num) -> int:
+    """The highest radicand index the map uses; 0 for a rational."""
+    return max(num, default=0).bit_length()
 
 
-def _split(terms: Terms, h: int) -> tuple[Terms, Terms]:
-    """terms == a + b*sqrt(r_h) with h the top index; returns (a, b)."""
-    a: Terms = {}
-    b: Terms = {}
-    for k, c in terms.items():
-        if k and k[-1] == h:
-            b[k[:-1]] = c
+def _indices(mask: int) -> tuple[int, ...]:
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _split(t: Terms, h: int) -> tuple[Terms, Terms]:
+    """t == a + b*sqrt(r_h) with h the top index; returns (a, b)."""
+    bit = 1 << (h - 1)
+    a: Num = {}
+    b: Num = {}
+    for k, c in t[0].items():
+        if k & bit:
+            b[k ^ bit] = c
         else:
             a[k] = c
-    return a, b
+    return _norm(a, t[1]), _norm(b, t[1])
 
 
-def _attach(terms: Terms, h: int) -> Terms:
+def _attach(t: Terms, h: int) -> Terms:
     """Multiply by sqrt(r_h) where every key index is < h."""
-    return {k + (h,): c for k, c in terms.items()}
+    bit = 1 << (h - 1)
+    return {k | bit: c for k, c in t[0].items()}, t[1]
 
 
-def _add_t(u: Terms, v: Terms) -> Terms:
-    out = dict(u)
-    for k, c in v.items():
-        _acc(out, k, c)
-    return out
-
-
-def _neg_t(u: Terms) -> Terms:
-    return {k: -c for k, c in u.items()}
+def _add_t(u: Terms, v: Terms, s: int = 1) -> Terms:
+    """u + s*v for s = 1 or -1, over the lcm of the denominators."""
+    (un, ud), (vn, vd) = u, v
+    if len(un) == 1 and un.keys() == vn.keys():
+        # most sums in geometry are of two terms on one basis monomial
+        ((k, a),) = un.items()
+        n = a * vd + s * vn[k] * ud
+        if not n:
+            return {}, 1
+        d = ud * vd
+        g = math.gcd(n, d)
+        return {k: n // g}, d // g
+    if ud == vd:
+        out = dict(un)
+        den = ud
+    else:
+        g = math.gcd(ud, vd)
+        f = vd // g
+        out = {k: c * f for k, c in un.items()}
+        s *= ud // g
+        den = ud * f
+    get = out.get
+    for k, c in vn.items():
+        out[k] = get(k, 0) + s * c
+    return _norm(out, den)
 
 
 def _sub_t(u: Terms, v: Terms) -> Terms:
-    out = dict(u)
-    for k, c in v.items():
-        _acc(out, k, -c)
-    return out
+    return _add_t(u, v, -1)
 
 
-def _scale_t(u: Terms, q: Fraction) -> Terms:
-    if not q:
-        return {}
-    return {k: c * q for k, c in u.items()}
+def _neg_t(u: Terms) -> Terms:
+    return {k: -c for k, c in u[0].items()}, u[1]
+
+
+def _half(u: Terms) -> Terms:
+    return _norm(u[0], 2 * u[1])
+
+
+def _rat_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for n/d in lowest terms, without building it."""
+    if d == 1:
+        return hash(n)
+    try:
+        h = hash(hash(abs(n)) * pow(d, -1, sys.hash_info.modulus))
+    except ValueError:          # d has no inverse modulo the hash prime
+        h = sys.hash_info.inf
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
 
 
 class Tower:
@@ -117,30 +156,35 @@ class Tower:
         self.sqrt_search_budget = sqrt_search_budget
         self.max_coeff_bits = max_coeff_bits
         self._radicands: list[Terms] = []       # r_i at slot i-1
-        self._rad_used: list[frozenset[int]] = []
+        self._rad_used: list[int] = []          # mask of the radicands r_i uses
         self._rad_inv: list[Terms] = []
         self._sqrt_memo: dict[tuple, Constructible] = {}
-        self._iv_cache: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-        self._monos: dict[tuple[Key, Key], Key | Terms] = {}   # see _mono
+        self._monos: dict[tuple[int, int], Terms] = {}          # see _mono
+        self._bounds: dict[tuple[int, int], tuple[int, int]] = {}   # see _bound
         self._lock = threading.RLock()
-        self.zero = self._make({})
-        self.one = self._make({(): Fraction(1)})
+        self.zero = self._make(({}, 1))
+        self.one = self._make(({0: 1}, 1))
 
     # -- element construction ------------------------------------------------
 
-    def _make(self, terms: Terms) -> "Constructible":
-        if self.max_coeff_bits:
-            for c in terms.values():
-                if (c.numerator.bit_length() > self.max_coeff_bits
-                        or c.denominator.bit_length() > self.max_coeff_bits):
-                    raise ResourceLimitError(
-                        "coefficient size guard exceeded "
-                        f"({self.max_coeff_bits} bits)")
-        return Constructible(self, terms)
+    def _make(self, t: Terms) -> "Constructible":
+        num, den = t
+        # the shared denominator and the largest numerator bound every
+        # reduced coefficient's numerator and denominator
+        cap = self.max_coeff_bits
+        if cap and num and (den.bit_length() > cap
+                            or max(num.values()).bit_length() > cap
+                            or min(num.values()).bit_length() > cap):
+            raise ResourceLimitError(
+                f"coefficient size guard exceeded ({cap} bits)")
+        return Constructible(self, num, den)
 
     def from_rational(self, q) -> "Constructible":
-        q = Fraction(q)
-        return self._make({(): q} if q else {})
+        if type(q) is int:
+            return self._make(({0: q} if q else {}, 1))
+        if type(q) is not Fraction:
+            q = Fraction(q)
+        return self._make(({0: q.numerator} if q else {}, q.denominator))
 
     def parse(self, text: str) -> "Constructible":
         return parse_real(text, self)
@@ -151,60 +195,84 @@ class Tower:
 
     def radicand(self, i: int) -> "Constructible":
         """The i-th radicand (1-based) as an element."""
-        return self._make(dict(self._radicands[i - 1]))
+        return self._make(self._radicands[i - 1])
 
     def radicands(self) -> list["Constructible"]:
         return [self.radicand(i) for i in range(1, len(self._radicands) + 1)]
 
-    def _used_of(self, terms: Terms) -> frozenset[int]:
-        out: set[int] = set()
-        stack = [i for k in terms for i in k]
-        while stack:
-            i = stack.pop()
-            if i not in out:
-                out.add(i)
-                out |= self._rad_used[i - 1]
-        return frozenset(out)
+    def _used_of(self, num: Num) -> int:
+        """Mask of the radicands the map uses, directly or inside others."""
+        m = 0
+        for k in num:
+            m |= k
+        out = m
+        while m:
+            low = m & -m
+            out |= self._rad_used[low.bit_length() - 1]
+            m ^= low
+        return out
 
     # -- core term arithmetic ------------------------------------------------
 
     def _mul_t(self, u: Terms, v: Terms) -> Terms:
-        out: Terms = {}
-        monos = self._monos
-        for ku, cu in u.items():
-            for kv, cv in v.items():
+        un, vn = u[0], v[0]
+        if len(un) == 1 and len(vn) == 1:
+            # most products in closures and nets are of single terms
+            ((ku, cu),) = un.items()
+            ((kv, cv),) = vn.items()
+            if not ku & kv:
                 c = cu * cv
-                m = monos.get((ku, kv))
+                d = u[1] * v[1]
+                g = math.gcd(c, d)
+                return {ku ^ kv: c // g}, d // g
+        out: Num = {}
+        get = out.get
+        scale = 1       # out holds the product's numerators times `scale`
+        monos = self._monos
+        vitems = vn.items()
+        for ku, cu in un.items():
+            for kv, cv in vitems:
+                common = ku & kv
+                if not common:
+                    k = ku ^ kv
+                    out[k] = get(k, 0) + cu * cv * scale
+                    continue
+                m = monos.get((common, ku ^ kv))
                 if m is None:
-                    m = self._mono(ku, kv)
-                if type(m) is tuple:
-                    _acc(out, m, c)
-                else:
-                    for k2, c2 in m.items():
-                        _acc(out, k2, c * c2)
-        return out
+                    m = self._mono(common, ku ^ kv)
+                mn, md = m
+                if scale % md:
+                    f = md // math.gcd(scale, md)
+                    scale *= f
+                    for k in out:
+                        out[k] *= f
+                c = cu * cv * (scale // md)
+                for k, c2 in mn.items():
+                    out[k] = get(k, 0) + c * c2
+        return _norm(out, u[1] * v[1] * scale)
 
-    def _mono(self, ku: Key, kv: Key) -> "Key | Terms":
-        """sqrt(ku)*sqrt(kv) in the basis: a key when ku and kv share no
-        index, else the term map of the radicand product times a key."""
-        su, sv = set(ku), set(kv)
-        common = su & sv
-        m: Key | Terms = tuple(sorted(su ^ sv))
-        if common:
-            m = {m: Fraction(1)}
-            for i in common:
-                m = self._mul_t(m, self._radicands[i - 1])
-        self._monos[(ku, kv)] = m
+    def _mono(self, common: int, sym: int) -> Terms:
+        """The product of the radicands in `common` times the basis
+        monomial `sym`, in the basis: sqrt(ku)*sqrt(kv) for
+        ku & kv == common and ku ^ kv == sym."""
+        m: Terms = ({sym: 1}, 1)
+        rest = common
+        while rest:
+            low = rest & -rest
+            m = self._mul_t(m, self._radicands[low.bit_length() - 1])
+            rest ^= low
+        self._monos[(common, sym)] = m
         return m
 
-    def _sign_t(self, terms: Terms) -> int:
-        if not terms:
+    def _sign_t(self, t: Terms) -> int:
+        """Sign by the exact squaring descent: the reference for `_sign`."""
+        num = t[0]
+        if not num:
             return 0
-        h = _maxidx(terms)
+        h = _top(num)
         if h == 0:
-            q = terms[()]
-            return (q > 0) - (q < 0)
-        a, b = _split(terms, h)
+            return 1 if num[0] > 0 else -1
+        a, b = _split(t, h)
         sa = self._sign_t(a)
         sb = self._sign_t(b)
         if sb == 0:
@@ -218,29 +286,88 @@ class Tower:
                    self._mul_t(self._mul_t(b, b), self._radicands[h - 1]))
         return sa * self._sign_t(d)
 
-    def _inv_t(self, terms: Terms) -> Terms:
-        if not terms:
+    def _inv_t(self, t: Terms) -> Terms:
+        num, den = t
+        if not num:
             raise ZeroDivisionError("division by zero")
-        h = _maxidx(terms)
+        h = _top(num)
         if h == 0:
-            return {(): 1 / terms[()]}
-        a, b = _split(terms, h)
+            c = num[0]
+            return {0: den if c > 0 else -den}, abs(c)
+        a, b = _split(t, h)
         # 1/(a + b*s) = (a - b*s) / (a^2 - b^2 r), with the denominator in
         # the subfield; it is nonzero because sqrt(r_h) is not in the subfield.
         n = _sub_t(self._mul_t(a, a),
                    self._mul_t(self._mul_t(b, b), self._radicands[h - 1]))
-        if not n:
+        if not n[0]:
             raise ZeroDivisionError("division by zero")
         ninv = self._inv_t(n)
-        out = self._mul_t(a, ninv)
-        for k, c in _attach(self._mul_t(b, ninv), h).items():
-            _acc(out, k, -c)
+        return _sub_t(self._mul_t(a, ninv), _attach(self._mul_t(b, ninv), h))
+
+    # -- certified enclosures ------------------------------------------------
+
+    def _sign(self, num: Num) -> int:
+        """Sign of the element with numerators `num` (the denominator is
+        positive), from enclosures at doubling precision."""
+        if len(num) <= 1:
+            if not num:
+                return 0
+            (c,) = num.values()
+            return 1 if c > 0 else -1
+        p = _START_PREC
+        while True:
+            lo, hi = self._enclose(num, p)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            p *= 2
+
+    def _enclose(self, num: Num, p: int) -> tuple[int, int]:
+        """Integers lo <= hi bounding sum(c * sqrt(mask)) * 2**p."""
+        lo = hi = 0
+        one = 1 << p
+        bounds = self._bounds
+        for k, c in num.items():
+            if k:
+                b = bounds.get((k, p))
+                if b is None:
+                    b = self._bound(k, p)
+                ml, mh = b
+            else:
+                ml = mh = one
+            if c > 0:
+                lo += c * ml
+                hi += c * mh
+            else:
+                lo += c * mh
+                hi += c * ml
+        return lo, hi
+
+    def _bound(self, k: int, p: int) -> tuple[int, int]:
+        """Integers lo <= hi bounding the basis monomial sqrt(k) * 2**p,
+        cached per (k, p); all factors are positive."""
+        hit = self._bounds.get((k, p))
+        if hit is not None:
+            return hit
+        low = k & -k
+        if k == low:
+            rn, rd = self._radicands[k.bit_length() - 1]
+            lo, hi = self._enclose(rn, p)
+            lo = max(lo, 0) // rd
+            hi = -(-hi // rd)
+            out = math.isqrt(lo << p), math.isqrt(hi << p) + 1
+        else:
+            al, ah = self._bound(low, p)
+            bl, bh = self._bound(k ^ low, p)
+            out = (al * bl) >> p, -((-ah * bh) >> p)
+        self._bounds[(k, p)] = out
         return out
 
     # -- square roots --------------------------------------------------------
 
-    def _try_sqrt_t(self, terms: Terms, m: int, budget: list[int]) -> Terms | None:
-        """Square root of `terms` within Q(sqrt r_1 .. sqrt r_m), or None.
+    def _try_sqrt_t(self, t: Terms, m: int, budget: list[int]) -> Terms | None:
+        """Square root of `t` within Q(sqrt r_1 .. sqrt r_m), or None.
 
         Any in-field root has the shape u * prod(sqrt(r_i) for i in S) with
         u below min(S); since squaring kills the sqrt(r_i) factors, the top
@@ -251,45 +378,45 @@ class Tower:
         budget[0] -= 1
         if budget[0] < 0:
             raise _SearchBudget()
-        if not terms:
-            return {}
-        h = _maxidx(terms)
+        num, den = t
+        if not num:
+            return t
+        h = _top(num)
         if h == 0:
-            q = terms[()]
+            q = num[0]
             if q > 0:
-                rn = math.isqrt(q.numerator)
-                rd = math.isqrt(q.denominator)
-                if rn * rn == q.numerator and rd * rd == q.denominator:
-                    return {(): Fraction(rn, rd)}
+                rn = math.isqrt(q)
+                rd = math.isqrt(den)
+                if rn * rn == q and rd * rd == den:
+                    return {0: rn}, rd
             # fall through: q may still be a square times a radicand product
         for j in range(m, h, -1):
-            z = self._mul_t(terms, self._rad_inv[j - 1])
+            z = self._mul_t(t, self._rad_inv[j - 1])
             u = self._try_sqrt_t(z, j - 1, budget)
             if u is not None:
                 return _attach(u, j)
         if h == 0:
             return None
-        a, b = _split(terms, h)
+        a, b = _split(t, h)
         s = self._radicands[h - 1]
         ab2 = _sub_t(self._mul_t(a, a), self._mul_t(self._mul_t(b, b), s))
         n = self._try_sqrt_t(ab2, h - 1, budget)
         if n is None:
             return None
         for nn in (n, _neg_t(n)):
-            cand = _scale_t(_add_t(a, nn), Fraction(1, 2))
-            u = self._try_sqrt_t(cand, h - 1, budget)
-            if u:
-                v = self._mul_t(b, _scale_t(self._inv_t(u), Fraction(1, 2)))
+            u = self._try_sqrt_t(_half(_add_t(a, nn)), h - 1, budget)
+            if u is not None and u[0]:
+                v = self._mul_t(b, _half(self._inv_t(u)))
                 w = _add_t(u, _attach(v, h))
-                if not _sub_t(self._mul_t(w, w), terms):
-                    if self._sign_t(w) < 0:
+                if self._mul_t(w, w) == t:
+                    if self._sign(w[0]) < 0:
                         w = _neg_t(w)
                     return w
         return None
 
     def _sqrt(self, x: "Constructible") -> "Constructible":
         with self._lock:
-            s = self._sign_t(x._terms)
+            s = self._sign(x._num)
             if s < 0:
                 raise NegativeRadicandError("sqrt of negative value")
             if s == 0:
@@ -298,22 +425,22 @@ class Tower:
             hit = self._sqrt_memo.get(key)
             if hit is not None:
                 return hit
+            t = x._terms
             try:
                 budget = [self.sqrt_search_budget]
-                w = self._try_sqrt_t(x._terms, len(self._radicands), budget)
+                w = self._try_sqrt_t(t, len(self._radicands), budget)
             except _SearchBudget:
                 # an uncertified radicand would break canonicity
                 raise ResourceLimitError("square-root search budget exhausted")
             if w is None:
-                new_height = len(self._used_of(x._terms)) + 1
-                if new_height > self.height_cap:
+                used = self._used_of(x._num)
+                if used.bit_count() + 1 > self.height_cap:
                     raise ResourceLimitError(
                         f"tower height cap {self.height_cap} exceeded")
-                idx = len(self._radicands) + 1
-                self._radicands.append(dict(x._terms))
-                self._rad_used.append(self._used_of(x._terms))
-                self._rad_inv.append(self._inv_t(x._terms))
-                w = {(idx,): Fraction(1)}
+                self._radicands.append(t)
+                self._rad_used.append(used)
+                self._rad_inv.append(self._inv_t(t))
+                w = {1 << (len(self._radicands) - 1): 1}, 1
             res = self._make(w)
             self._sqrt_memo[key] = res
             return res
@@ -322,9 +449,9 @@ class Tower:
         with self._lock:
             if max_index is None:
                 max_index = len(self._radicands)
-            if _maxidx(x._terms) > max_index:
+            if _top(x._num) > max_index:
                 raise ValueError("element is outside the requested sub-tower")
-            if self._sign_t(x._terms) < 0:
+            if self._sign(x._num) < 0:
                 return None
             try:
                 budget = [self.sqrt_search_budget]
@@ -333,94 +460,54 @@ class Tower:
                 raise ResourceLimitError("square-root search budget exhausted")
             return None if w is None else self._make(w)
 
-    # -- numeric enclosures --------------------------------------------------
-
-    def _sqrt_interval(self, i: int, prec: int) -> tuple[Fraction, Fraction]:
-        hit = self._iv_cache.get((i, prec))
-        if hit is not None:
-            return hit
-        rlo, rhi = self._eval_interval(self._radicands[i - 1], prec)
-        if rlo < 0:
-            rlo = _ZERO
-        out = (_rat_sqrt_lower(rlo, prec), _rat_sqrt_upper(rhi, prec))
-        self._iv_cache[(i, prec)] = out
-        return out
-
-    def _eval_interval(self, terms: Terms, prec: int) -> tuple[Fraction, Fraction]:
-        lo = hi = _ZERO
-        for k, c in terms.items():
-            tlo = thi = Fraction(c)
-            for i in k:
-                slo, shi = self._sqrt_interval(i, prec)
-                tlo, thi = _iv_mul(tlo, thi, slo, shi)
-            lo += tlo
-            hi += thi
-        return lo, hi
-
 
 class _SearchBudget(Exception):
     pass
 
 
-def _iv_mul(alo, ahi, blo, bhi):
-    ps = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    return min(ps), max(ps)
-
-
-def _rat_sqrt_lower(q: Fraction, prec: int) -> Fraction:
-    if q <= 0:
-        return _ZERO
-    n, d = q.numerator, q.denominator
-    s = math.isqrt(n * d << (2 * prec))
-    return Fraction(s, d << prec)
-
-
-def _rat_sqrt_upper(q: Fraction, prec: int) -> Fraction:
-    if q <= 0:
-        return _ZERO
-    n, d = q.numerator, q.denominator
-    s = math.isqrt(n * d << (2 * prec))
-    return Fraction(s + 1, d << prec)
-
-
 class Constructible:
     """An element of a tower session.  Immutable; arithmetic via operators."""
 
-    __slots__ = ("tower", "_terms", "_height", "_iv", "_keyc")
+    __slots__ = ("tower", "_num", "_den", "_height", "_iv", "_keyc")
 
-    def __init__(self, tower: Tower, terms: Terms):
+    def __init__(self, tower: Tower, num: Num, den: int):
         self.tower = tower
-        self._terms = terms
+        self._num = num
+        self._den = den
         self._height: int | None = None
-        self._iv: tuple[int, Fraction, Fraction] | None = None
+        self._iv: tuple[int, int, int] | None = None     # (p, lo, hi)
         self._keyc = None
 
     # -- basics --------------------------------------------------------------
 
+    @property
+    def _terms(self) -> Terms:
+        return self._num, self._den
+
     def _key(self):
         if self._keyc is None:
-            self._keyc = tuple(sorted(self._terms.items()))
+            self._keyc = (self._den, frozenset(self._num.items()))
         return self._keyc
 
     @property
     def height(self) -> int:
         if self._height is None:
-            self._height = len(self.tower._used_of(self._terms))
+            self._height = self.tower._used_of(self._num).bit_count()
         return self._height
 
     def is_rational(self) -> bool:
-        return _maxidx(self._terms) == 0
+        return _top(self._num) == 0
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is irrational")
-        return self._terms.get((), _ZERO)
+        return Fraction(self._num.get(0, 0), self._den)
 
     def sign(self) -> int:
-        return self.tower._sign_t(self._terms)
+        return self.tower._sign(self._num)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -468,7 +555,7 @@ class Constructible:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o._terms:
+        if not o._num:
             raise ZeroDivisionError("division by zero")
         return self.tower._make(
             self.tower._mul_t(self._terms, self.tower._inv_t(o._terms)))
@@ -488,41 +575,44 @@ class Constructible:
             return False
         if o is None:
             return NotImplemented
-        return self._terms == o._terms
+        return self._den == o._den and self._num == o._num
 
     def __ne__(self, other):
         r = self.__eq__(other)
         return r if r is NotImplemented else not r
 
+    def _cmp(self, o: "Constructible") -> int:
+        return self.tower._sign(_sub_t(self._terms, o._terms)[0])
+
     def __lt__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.tower._sign_t(_sub_t(self._terms, o._terms)) < 0
+        return self._cmp(o) < 0
 
     def __le__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.tower._sign_t(_sub_t(self._terms, o._terms)) <= 0
+        return self._cmp(o) <= 0
 
     def __gt__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.tower._sign_t(_sub_t(self._terms, o._terms)) > 0
+        return self._cmp(o) > 0
 
     def __ge__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.tower._sign_t(_sub_t(self._terms, o._terms)) >= 0
+        return self._cmp(o) >= 0
 
     def __hash__(self):
         # structural, like __eq__; elements of different towers may
         # collide, and a rational hashes as the Fraction it equals
         if self.is_rational():
-            return hash(self._terms.get((), _ZERO))
+            return _rat_hash(self._num.get(0, 0), self._den)
         return hash(self._key())
 
     # -- roots, polynomials, enclosures --------------------------------------
@@ -542,29 +632,23 @@ class Constructible:
         """Integer coefficients (ascending) of the product of X - x over all
         2^height sign flips of the radicals x uses.  The element is a root."""
         tw = self.tower
-        used = sorted(tw._used_of(self._terms))
-        if len(used) > tw.height_cap:
+        used = tw._used_of(self._num)
+        if used.bit_count() > tw.height_cap:
             raise ResourceLimitError(
-                f"char_poly on height {len(used)} exceeds cap {tw.height_cap}")
-        poly: list[Terms] = [_neg_t(self._terms), {(): Fraction(1)}]
-        for h in reversed(used):
-            a_poly = []
-            b_poly = []
-            for coeff in poly:
-                a, b = _split(coeff, h)
-                a_poly.append(a)
-                b_poly.append(b)
+                f"char_poly on height {used.bit_count()} exceeds cap {tw.height_cap}")
+        poly: list[Terms] = [_neg_t(self._terms), ({0: 1}, 1)]
+        for h in reversed(_indices(used)):
+            halves = [_split(c, h) for c in poly]
+            a_poly = [a for a, _ in halves]
+            b_poly = [b for _, b in halves]
             aa = _poly_mul(tw, a_poly, a_poly)
             bb = _poly_mul(tw, b_poly, b_poly)
-            rbb = [tw._mul_t(c, tw._radicands[h - 1]) for c in bb]
-            poly = _poly_sub(aa, rbb)
-        coeffs = []
-        for t in poly:
-            if _maxidx(t) != 0:
-                raise AssertionError("descent left a radical coefficient")
-            coeffs.append(t.get((), _ZERO))
-        denom = math.lcm(*(c.denominator for c in coeffs))
-        ints = [int(c * denom) for c in coeffs]
+            r = tw._radicands[h - 1]
+            poly = [_sub_t(x, tw._mul_t(y, r)) for x, y in zip(aa, bb)]
+        if any(_top(num) for num, _ in poly):
+            raise AssertionError("descent left a radical coefficient")
+        denom = math.lcm(*(den for _, den in poly))
+        ints = [num.get(0, 0) * (denom // den) for num, den in poly]
         g = math.gcd(*ints)
         if g:
             ints = [c // g for c in ints]
@@ -577,26 +661,27 @@ class Constructible:
 
         Repeated calls with growing k return nested intervals.
         """
-        target = Fraction(1, 1 << (k + 2))
-        cached = self._iv
-        if cached is not None and cached[2] - cached[1] <= target:
-            lo, hi = cached[1], cached[2]
-        else:
-            prec = max(k + 4, cached[0] * 2 if cached else 0)
-            lo, hi = (cached[1], cached[2]) if cached else (None, None)
+        s = k + 2
+        iv = self._iv
+        if iv is None or iv[0] < s or iv[2] - iv[1] > 1 << (iv[0] - s):
+            p = 2 * iv[0] if iv else _START_PREC
+            while p < s + 16:
+                p *= 2
             while True:
-                nlo, nhi = self.tower._eval_interval(self._terms, prec)
-                if lo is not None:
-                    nlo, nhi = max(nlo, lo), min(nhi, hi)
-                lo, hi = nlo, nhi
-                self._iv = (prec, lo, hi)
-                if hi - lo <= target:
+                lo, hi = self.tower._enclose(self._num, p)
+                lo //= self._den
+                hi = -(-hi // self._den)
+                if iv is not None:
+                    # keep the intervals nested across calls
+                    lo = max(lo, iv[1] << (p - iv[0]))
+                    hi = min(hi, iv[2] << (p - iv[0]))
+                iv = self._iv = (p, lo, hi)
+                if hi - lo <= 1 << (p - s):
                     break
-                prec *= 2
-        scale = 1 << (k + 2)
-        dlo = Fraction(math.floor(lo * scale), scale)
-        dhi = Fraction(math.ceil(hi * scale), scale)
-        return dlo, dhi
+                p *= 2
+        p, lo, hi = iv
+        return (Fraction(lo >> (p - s), 1 << s),
+                Fraction(-(-hi >> (p - s)), 1 << s))
 
     def to_float(self) -> float:
         lo, hi = self.approx(60)
@@ -605,20 +690,21 @@ class Constructible:
     # -- display -------------------------------------------------------------
 
     def _expr(self, depth: int = 0) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         tw = self.tower
         parts = []
-        for k, c in sorted(self._terms.items()):
+        for idx, c in sorted((_indices(k), c) for k, c in self._num.items()):
+            q = Fraction(c, self._den)
             factors = []
-            if c != 1 or not k:
-                factors.append(str(c))
-            for i in k:
+            if q != 1 or not idx:
+                factors.append(str(q))
+            for i in idx:
                 if depth > 8:
                     factors.append(f"sqrt(r{i})")
                 else:
                     factors.append(
-                        "sqrt(" + tw._make(dict(tw._radicands[i - 1]))._expr(depth + 1) + ")")
+                        "sqrt(" + tw._make(tw._radicands[i - 1])._expr(depth + 1) + ")")
             parts.append("*".join(factors))
         return " + ".join(parts).replace("+ -", "- ")
 
@@ -714,26 +800,15 @@ def _parse_atom(lx: _Lexer, tw: Tower) -> Constructible:
     raise ParseError(f"unexpected {t!r} in number literal", col=lx.pos)
 
 
-# -- polynomial helpers over term dicts --------------------------------------
+
+# -- polynomial helpers over term pairs --------------------------------------
 
 def _poly_mul(tw: Tower, p: list[Terms], q: list[Terms]) -> list[Terms]:
-    out: list[Terms] = [{} for _ in range(len(p) + len(q) - 1)]
+    out: list[Terms] = [({}, 1)] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if not a:
+        if not a[0]:
             continue
         for j, b in enumerate(q):
-            if not b:
-                continue
-            for k, c in tw._mul_t(a, b).items():
-                _acc(out[i + j], k, c)
-    return out
-
-
-def _poly_sub(p: list[Terms], q: list[Terms]) -> list[Terms]:
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else {}
-        b = q[i] if i < len(q) else {}
-        out.append(_sub_t(a, b))
+            if b[0]:
+                out[i + j] = _add_t(out[i + j], tw._mul_t(a, b))
     return out
