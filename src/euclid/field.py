@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import threading
 from fractions import Fraction
 
@@ -96,15 +95,6 @@ def _attach(t: Terms, h: int) -> Terms:
 def _add_t(u: Terms, v: Terms, s: int = 1) -> Terms:
     """u + s*v for s = 1 or -1, over the lcm of the denominators."""
     (un, ud), (vn, vd) = u, v
-    if len(un) == 1 and un.keys() == vn.keys():
-        # most sums in geometry are of two terms on one basis monomial
-        ((k, a),) = un.items()
-        n = a * vd + s * vn[k] * ud
-        if not n:
-            return {}, 1
-        d = ud * vd
-        g = math.gcd(n, d)
-        return {k: n // g}, d // g
     if ud == vd:
         out = dict(un)
         den = ud
@@ -130,18 +120,6 @@ def _neg_t(u: Terms) -> Terms:
 
 def _half(u: Terms) -> Terms:
     return _norm(u[0], 2 * u[1])
-
-
-def _rat_hash(n: int, d: int) -> int:
-    """hash(Fraction(n, d)) for n/d in lowest terms, without building it."""
-    if d == 1:
-        return hash(n)
-    try:
-        h = hash(hash(abs(n)) * pow(d, -1, sys.hash_info.modulus))
-    except ValueError:          # d has no inverse modulo the hash prime
-        h = sys.hash_info.inf
-    h = h if n >= 0 else -h
-    return -2 if h == -1 else h
 
 
 class Tower:
@@ -216,15 +194,6 @@ class Tower:
 
     def _mul_t(self, u: Terms, v: Terms) -> Terms:
         un, vn = u[0], v[0]
-        if len(un) == 1 and len(vn) == 1:
-            # most products in closures and nets are of single terms
-            ((ku, cu),) = un.items()
-            ((kv, cv),) = vn.items()
-            if not ku & kv:
-                c = cu * cv
-                d = u[1] * v[1]
-                g = math.gcd(c, d)
-                return {ku ^ kv: c // g}, d // g
         out: Num = {}
         get = out.get
         scale = 1       # out holds the product's numerators times `scale`
@@ -612,7 +581,8 @@ class Constructible:
         # structural, like __eq__; elements of different towers may
         # collide, and a rational hashes as the Fraction it equals
         if self.is_rational():
-            return _rat_hash(self._num.get(0, 0), self._den)
+            n, d = self._num.get(0, 0), self._den
+            return hash(n) if d == 1 else hash(Fraction(n, d))
         return hash(self._key())
 
     # -- roots, polynomials, enclosures --------------------------------------

@@ -46,6 +46,7 @@ def test_inverse_rationalizes():
     r2 = t.from_rational(2).sqrt()
     assert 1 / (1 + r2) == r2 - 1
     x = 3 - r2
+    assert x * (1 / x) == 1
     assert (x + x) / 2 == x
 
 
