@@ -4,7 +4,8 @@ Subpackages and modules:
 
 - `field`: arithmetic in towers of real quadratic extensions with exact
   sign decisions.
-- `geom`: points, lines, circles, and the exact predicates over them.
+- `geom`: points, lines, circles, the exact predicates over them, and
+  the construction-step record that every trace is made of.
 - `closure`: saturation of a configuration under construction steps and
   derivability queries.
 - `regions`: open disks and sign-cells with exact membership and
@@ -15,13 +16,15 @@ Subpackages and modules:
 - `game`: the adversarial construction game with strategies, sampling
   and certificate adversaries, and certificate checking.
 - `net`: straightedge-only densification through harmonic conjugates,
-  with replayable traces and grid gap measurement.
+  grid gap measurement, and the replay that re-derives run, closure and
+  densify traces.
 - `algebra`: integer polynomials and the power-of-two degree criterion
   for non-constructibility.
 - `replay`: transport of recorded traces under projective maps and the
   report of which facts survive.
 - `configfile`: scene files declaring named exact input objects.
-- `render`: deterministic SVG figures from traces.
+- `render`: deterministic SVG figures from run, closure and densify
+  traces.
 - `cli`: the `euclid` command binding everything together.
 """
 

@@ -182,8 +182,8 @@ def cmd_run(args) -> int:
                "outputs": [dict(name=n, **_obj_json(o)) for n, o in
                            zip(program.returns, result.outputs)],
                "steps": result.steps,
-               "trace": [{"kind": ev.kind, "text": ev.text}
-                         for ev in result.trace]})
+               "trace": [{"kind": step.rule, "text": step.text}
+                         for step in result.trace]})
     else:
         for name, obj in zip(program.returns, result.outputs):
             print(f"{name} = {_show(obj)}")
@@ -220,8 +220,8 @@ def cmd_closure(args) -> int:
         _emit({"command": "closure", "points": len(state.points),
                "curves": len(state.curves), "rounds": state.rounds,
                "complete": state.complete,
-               "trace": [{"text": _show(e.obj), "round": e.round,
-                          "rule": e.rule} for e in state.trace]})
+               "trace": [{"text": _show(step.made[0]), "round": step.round,
+                          "rule": step.rule} for step in state.trace]})
     else:
         tail = "fixed point" if state.complete else "budget exhausted"
         print(f"{len(state.points)} points, {len(state.curves)} curves "
@@ -298,8 +298,8 @@ def cmd_densify(args) -> int:
         _emit({"command": "densify", "point": _obj_json(result.point),
                "iterations": result.iterations,
                "steps": len(result.trace),
-               "trace": [{"op": s.op, "result": _show(s.result)}
-                         for s in result.trace]})
+               "trace": [{"op": step.rule, "result": _show(step.made[0])}
+                         for step in result.trace]})
     else:
         print(f"reached {_show(result.point)} after {result.iterations} "
               f"iterations, {len(result.trace)} straightedge steps")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ResourceLimitError
-from .geom import Circle, Curve, Line, Point, dist2, intersect
+from .geom import Circle, Curve, Line, Point, Step, dist2, intersect
 
 ALL_OPS = frozenset({"line", "circle", "intersect"})
 
@@ -29,20 +29,12 @@ class Budget:
 
 
 @dataclass
-class TraceEntry:
-    obj: Point | Curve
-    round: int
-    rule: str                   # "given" | "line" | "circle" | "intersect"
-    parents: tuple = ()
-
-
-@dataclass
 class ClosureResult:
     points: list[Point]
     curves: list[Curve]
     rounds: int
     complete: bool
-    trace: list[TraceEntry] = dc_field(default_factory=list)
+    trace: list[Step] = dc_field(default_factory=list)
 
     @property
     def size(self) -> int:
@@ -76,15 +68,15 @@ class _Run:
         self.points: dict[Point, None] = {}     # insertion-ordered sets
         self.curves: dict[Curve, None] = {}
         self.done_pairs: set[tuple[int, int]] = set()
-        self.trace: list[TraceEntry] = []
+        self.trace: list[Step] = []
         self.rounds = 0
         self.found_round: int | None = None
         for p in points:
             if _admit(self.points, p):
-                self.trace.append(TraceEntry(p, 0, "given"))
+                self.trace.append(Step("given", (p,)))
         for c in curves:
             if _admit(self.curves, c):
-                self.trace.append(TraceEntry(c, 0, "given"))
+                self.trace.append(Step("given", (c,)))
         if target is not None and (target in self.points
                                    or target in self.curves):
             self.found_round = 0
@@ -103,23 +95,13 @@ class _Run:
                 f"closure exceeded {self.budget.max_objects} objects",
                 partial=self.result(False))
 
-    def _add_point(self, p: Point, rule: str, parents: tuple) -> bool:
-        if not _admit(self.points, p):
+    def _add(self, obj: Point | Curve, rule: str, parents: tuple) -> bool:
+        seen = self.points if isinstance(obj, Point) else self.curves
+        if not _admit(seen, obj):
             return False
-        self.trace.append(TraceEntry(p, self.rounds, rule, parents))
+        self.trace.append(Step(rule, (obj,), parents, self.rounds))
         self._check_budget()
-        if (isinstance(self.target, Point) and self.found_round is None
-                and p == self.target):
-            self.found_round = self.rounds
-        return True
-
-    def _add_curve(self, c: Curve, rule: str, parents: tuple) -> bool:
-        if not _admit(self.curves, c):
-            return False
-        self.trace.append(TraceEntry(c, self.rounds, rule, parents))
-        self._check_budget()
-        if (isinstance(self.target, (Line, Circle)) and self.found_round is None
-                and c == self.target):
+        if self.found_round is None and obj == self.target:
             self.found_round = self.rounds
         return True
 
@@ -131,8 +113,8 @@ class _Run:
         if "line" in self.ops:
             for j in range(len(pts)):
                 for i in range(j):
-                    grew |= self._add_curve(Line.through(pts[i], pts[j]),
-                                            "line", (pts[i], pts[j]))
+                    grew |= self._add(Line.through(pts[i], pts[j]),
+                                      "line", (pts[i], pts[j]))
                     if self.found_round is not None:
                         return grew
         if "circle" in self.ops:
@@ -142,7 +124,7 @@ class _Run:
                     radii.append((dist2(pts[i], pts[j]), pts[i], pts[j]))
             for o in pts:
                 for r2, a, b in radii:
-                    grew |= self._add_curve(Circle(o, r2), "circle", (o, a, b))
+                    grew |= self._add(Circle(o, r2), "circle", (o, a, b))
                     if self.found_round is not None:
                         return grew
         if "intersect" in self.ops:
@@ -155,7 +137,7 @@ class _Run:
                     self.done_pairs.add((i, j))
                     u, v = curves[i], curves[j]
                     for p in intersect(u, v):
-                        grew |= self._add_point(p, "intersect", (u, v))
+                        grew |= self._add(p, "intersect", (u, v))
                     if self.found_round is not None:
                         return grew
         return grew

@@ -25,9 +25,11 @@ from ..geom import (
     Circle,
     Line,
     Point,
+    Step,
     between,
     dist2,
     dist_compare,
+    fmt,
     intersect,
     intersects,
     orientation,
@@ -90,39 +92,10 @@ Request = RLine | RCircle | RIntersect | RPointInDisk | RPointInCell
 
 
 @dataclass
-class TraceEvent:
-    """One recorded step of a run.
-
-    `objs` layout by kind:
-      input:     (value,)
-      line:      (line, p, q)
-      circle:    (circle, center, a, b)
-      intersect: (g, h, *points)
-      choose:    (chosen,)
-      arbitrary: (answer,)
-      test:      (value, kind, negated, *argument objects)
-
-    `text` is built when it is read: the label, followed for input and
-    arbitrary events by the text of their object.  That text costs an
-    `approx` call, which runs and games that never read it skip.
-    """
-
-    kind: str                   # input/line/circle/intersect/choose/arbitrary/test
-    label: str
-    objs: tuple = ()
-
-    @property
-    def text(self) -> str:
-        if self.kind in ("input", "arbitrary"):
-            return self.label + fmt(self.objs[0])
-        return self.label
-
-
-@dataclass
 class RunResult:
     outputs: tuple
     env: dict
-    trace: list[TraceEvent] = field(default_factory=list)
+    trace: list[Step] = field(default_factory=list)
     steps: int = 0
 
 
@@ -178,36 +151,24 @@ class _State:
         return [v for v in self._env.values() if isinstance(v, (Line, Circle))]
 
 
-def fmt(obj) -> str:
-    """Text of an object for traces and transcripts."""
-    if isinstance(obj, Point):
-        return f"({obj.x!r}, {obj.y!r})"
-    return repr(obj)
-
-
-def evaluate_test(env: dict, test: Test) -> bool:
-    """Decide a test against an environment with exact predicates."""
-    a = [env[n] for n in test.args]
-    if test.kind == "equal":
-        value = a[0] == a[1]
-    elif test.kind == "on":
-        value = a[1].contains(a[0])
-    elif test.kind == "intersects":
+def decide(kind: str, objs) -> bool:
+    """Decide an unnegated test on its argument objects exactly."""
+    if kind == "equal":
+        return objs[0] == objs[1]
+    if kind == "on":
+        return objs[1].contains(objs[0])
+    if kind == "intersects":
         try:
-            value = intersects(a[0], a[1])
+            return intersects(objs[0], objs[1])
         except IdenticalCurvesError:
-            value = True
-    elif test.kind == "between":
-        value = between(a[0], a[1], a[2])
-    elif test.kind == "ccw":
-        value = orientation(a[0], a[1], a[2]) > 0
-    elif test.kind == "dist_le":
-        value = dist_compare(a[0], a[1], a[2], a[3]) <= 0
-    else:   # dist_eq
-        value = dist_compare(a[0], a[1], a[2], a[3]) == 0
-    if test.negated:
-        value = not value
-    return value
+            return True
+    if kind == "between":
+        return between(*objs)
+    if kind == "ccw":
+        return orientation(*objs) > 0
+    if kind == "dist_le":
+        return dist_compare(*objs) <= 0
+    return dist_compare(*objs) == 0     # dist_eq
 
 
 def build_region(env: dict, tower, expr):
@@ -224,11 +185,11 @@ class _Run:
         self.tower = tower
         self.max_steps = max_steps
         self.steps = 0
-        self.trace: list[TraceEvent] = []
+        self.trace: list[Step] = []
         self.asking = None      # name the pending point request binds
 
     def abort(self, reason: str, message: str):
-        self.trace.append(TraceEvent("abort", f"{reason}: {message}"))
+        self.trace.append(Step("abort", label=f"{reason}: {message}"))
         raise RunAbort(reason, message, trace=self.trace)
 
     def tick(self):
@@ -256,8 +217,8 @@ class _Run:
             yield RLine(p, q)
             obj = Line.through(p, q)
             self.env[st.name] = obj
-            self.trace.append(TraceEvent("line", f"{st.name} = line({st.p}, {st.q})",
-                                         (obj, p, q)))
+            self.trace.append(Step("line", (obj,), (p, q),
+                                   label=f"{st.name} = line({st.p}, {st.q})"))
         elif isinstance(st, LetCircle):
             center, a, b = (self.env[st.center], self.env[st.a],
                             self.env[st.b])
@@ -267,9 +228,9 @@ class _Run:
             yield RCircle(center, a, b)
             obj = Circle(center, dist2(a, b))
             self.env[st.name] = obj
-            self.trace.append(TraceEvent(
-                "circle", f"{st.name} = circle({st.center}; {st.a}, {st.b})",
-                (obj, center, a, b)))
+            self.trace.append(Step(
+                "circle", (obj,), (center, a, b),
+                label=f"{st.name} = circle({st.center}; {st.a}, {st.b})"))
         elif isinstance(st, LetIntersect):
             g, h = self.env[st.g], self.env[st.h]
             if g == h:
@@ -283,10 +244,9 @@ class _Run:
                            f"points, statement binds {len(st.names)}")
             for name, p in zip(st.names, pts):
                 self.env[name] = p
-            self.trace.append(TraceEvent(
-                "intersect",
-                f"[{', '.join(st.names)}] = intersect({st.g}, {st.h})",
-                (g, h, *pts)))
+            self.trace.append(Step(
+                "intersect", tuple(pts), (g, h),
+                label=f"[{', '.join(st.names)}] = intersect({st.g}, {st.h})"))
         elif isinstance(st, LetChoose):
             passing = []
             for cand in st.candidates:
@@ -308,16 +268,16 @@ class _Run:
                            f"({', '.join(names)})")
             cand, obj = passing[0]
             self.env[st.name] = obj
-            self.trace.append(TraceEvent(
-                "choose", f"{st.name} = choose -> {cand}", (obj,)))
+            self.trace.append(Step(
+                "choose", (obj,), label=f"{st.name} = choose -> {cand}"))
         elif isinstance(st, LetArbitrary):
             region = build_region(self.env, self.tower, st.region)
             self.asking = st.name
             answer = yield (RPointInDisk(region) if isinstance(region, Disk)
                             else RPointInCell(region))
             self.env[st.name] = answer
-            self.trace.append(TraceEvent(
-                "arbitrary", f"{st.name} = arbitrary -> ", (answer,)))
+            self.trace.append(Step(
+                "arbitrary", (answer,), label=f"{st.name} = arbitrary -> "))
         elif isinstance(st, If):
             if self.eval_test(st.test):
                 yield from self.exec_block(st.then)
@@ -357,13 +317,13 @@ class _Run:
         return answer
 
     def eval_test(self, test: Test, record: bool = True) -> bool:
-        value = evaluate_test(self.env, test)
+        args = [self.env[n] for n in test.args]
+        value = decide(test.kind, args) != test.negated
         if record:
             neg = "not " if test.negated else ""
-            self.trace.append(TraceEvent(
-                "test", f"{neg}{test.kind}({', '.join(test.args)}) -> {value}",
-                (value, test.kind, test.negated,
-                 *(self.env[n] for n in test.args))))
+            self.trace.append(Step(
+                "test", (value, test.kind, test.negated), tuple(args),
+                label=f"{neg}{test.kind}({', '.join(test.args)}) -> {value}"))
         return value
 
 
@@ -423,7 +383,7 @@ def run(program: Program, inputs, oracle=None, tower=None,
     if oracle is None:
         oracle = SamplingOracle(0)
     for name, value in env.items():
-        state.trace.append(TraceEvent("input", f"{name} = ", (value,)))
+        state.trace.append(Step("input", (value,), label=f"{name} = "))
     steps = state.exec_block(program.body)
     answer = None
     while True:
@@ -449,7 +409,7 @@ def requests(program: Program, inputs):
 
 def recorded_answers(trace) -> list[Point]:
     """Oracle answers of a run trace, for ReplayOracle."""
-    return [ev.objs[0] for ev in trace if ev.kind == "arbitrary"]
+    return [step.made[0] for step in trace if step.rule == "arbitrary"]
 
 
 def other_intersection(p: Point, g, h) -> Point:

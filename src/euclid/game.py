@@ -25,11 +25,10 @@ from .dsl.interp import (
     RLine,
     RPointInCell,
     RPointInDisk,
-    fmt,
     requests,
 )
 from .errors import RunAbort
-from .geom import Circle, Line, Point, dist2, intersect, point
+from .geom import Circle, Line, Point, dist2, fmt, intersect, point
 from .regions import Cell, Disk, inscribe_disk, sample_point
 
 STRAIGHTEDGE_OPS = frozenset({"line", "intersect"})

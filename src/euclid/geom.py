@@ -5,10 +5,13 @@ first nonzero of (a, b) normalized to 1; circles store center and
 squared radius.  `intersect` returns the (0, 1 or 2) intersection
 points sorted by (x, y); `intersects` answers the same question as a
 predicate without taking any square roots, so it never grows the tower.
+`Step` records one construction step in the traces of runs, closures
+and densification alike.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -168,6 +171,47 @@ class Circle:
 
 
 Curve = Line | Circle
+
+
+def fmt(obj) -> str:
+    """Text of an object for traces and transcripts."""
+    if isinstance(obj, Point):
+        return f"({obj.x!r}, {obj.y!r})"
+    return repr(obj)
+
+
+# -- construction steps ------------------------------------------------------
+
+@dataclass(slots=True)
+class Step:
+    """One recorded construction step of a run, a closure or a densify.
+
+    `made` is what the step produced and `parents` its operands; `round`
+    is the closure round.  Layouts by rule, made / parents:
+      input, given, arbitrary, choose:  (obj,) / ()
+      line:       (line,) / (p, q)
+      circle:     (circle,) / (center, a, b)
+      intersect:  (*points) / (g, h)
+      test:       (value, kind, negated) / argument objects
+      abort:      () / (), the reason in the label
+
+    A closure records one step per admitted object, a densify one point
+    per intersect step.  `text` is built when it is read: the label,
+    followed for input and arbitrary steps by the text of their object.
+    That text costs an `approx` call, which runs that never read it skip.
+    """
+
+    rule: str
+    made: tuple = ()
+    parents: tuple = ()
+    round: int = 0
+    label: str = ""
+
+    @property
+    def text(self) -> str:
+        if self.rule in ("input", "arbitrary"):
+            return self.label + fmt(self.made[0])
+        return self.label
 
 
 # -- scalar helpers ----------------------------------------------------------

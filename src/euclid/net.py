@@ -1,4 +1,4 @@
-"""Densification of the plane by straightedge steps alone.
+"""Densification of the plane by straightedge steps alone, and trace replay.
 
 Four points in general position (a triangle and an interior companion)
 form a projective frame.  Reading the companion as the image of the
@@ -10,6 +10,10 @@ distance, returning the full construction trace; `grid_gaps` measures
 the exact mesh of the derivable grid per refinement level; and
 `RestrictedAlice` uses the same machinery to translate disk requests of
 a game strategy into cell requests plus construction moves.
+
+`replay_trace` re-derives a trace of `geom.Step` records from its
+initial objects, whichever engine wrote it: a run, a closure or a
+densify.
 """
 
 from __future__ import annotations
@@ -19,20 +23,11 @@ from fractions import Fraction
 
 from .errors import DegenerateInputError, ResourceLimitError, ScopeError
 from .game import STOP, GameMove, RIntersect, RLine, RPointInCell, RPointInDisk
-from .geom import Line, Point, dist2, intersect, orientation
+from .geom import Circle, Line, Point, Step, dist2, intersect, orientation
 from .regions import Cell, contains_closed_disk
 
 DEFAULT_MAX_ITERATIONS = 96
 WALK_STEPS_PER_ITERATION = 4
-
-
-@dataclass(frozen=True)
-class Step:
-    """One straightedge construction step: a line or an intersection."""
-
-    op: str                 # "line" or "intersect"
-    operands: tuple
-    result: object
 
 
 @dataclass
@@ -49,34 +44,43 @@ def _cross(p: Point, q: Point, r: Point):
 
 def straightedge_only(trace) -> bool:
     """Whether every step of a trace is a line or intersection step."""
-    return all(step.op in ("line", "intersect") for step in trace)
+    return all(step.rule in ("line", "intersect") for step in trace)
 
 
-def replay_trace(trace, points) -> bool:
-    """Re-derive a trace from initial points, checking every step.
+def replay_trace(trace, objects) -> bool:
+    """Re-derive a run, closure or densify trace, checking every step.
 
-    Returns True when each line step joins two known points, each
-    intersection step crosses two known lines, and every recorded
-    result matches the recomputation exactly.
+    `objects` are known from the start.  Input, given and arbitrary
+    steps make their object known; test and abort steps are skipped.
+    A line, circle or intersect step must take only known parents, and
+    every object it made must be in the exact recomputation from them;
+    a choose step must pick a known object.  Any other rule, or any
+    failed check, gives False.
     """
-    known_points = set(points)
-    known_lines = set()
+    known = set(objects)
     for step in trace:
-        u, v = step.operands
-        if step.op == "line":
-            if u not in known_points or v not in known_points:
+        rule, made, parents = step.rule, step.made, step.parents
+        if rule in ("line", "circle", "intersect"):
+            if not known.issuperset(parents):
                 return False
-            if Line.through(u, v) != step.result:
+            if rule == "line":
+                redo = (Line.through(*parents),)
+            elif rule == "circle":
+                center, a, b = parents
+                redo = (Circle(center, dist2(a, b)),)
+            else:
+                redo = intersect(*parents)
+            for m in made:
+                if m not in redo:
+                    return False
+        elif rule == "choose":
+            if made[0] not in known:
                 return False
-            known_lines.add(step.result)
-        elif step.op == "intersect":
-            if u not in known_lines or v not in known_lines:
-                return False
-            if step.result not in intersect(u, v):
-                return False
-            known_points.add(step.result)
-        else:
+        elif rule in ("test", "abort"):
+            continue
+        elif rule not in ("input", "given", "arbitrary"):
             return False
+        known.update(made)
     return True
 
 
@@ -106,14 +110,14 @@ class _Frame:
         obj = Line.through(p, q)
         if obj not in self._lines:
             self._lines[obj] = obj
-            self.trace.append(Step("line", (p, q), obj))
+            self.trace.append(Step("line", (obj,), (p, q)))
         return self._lines[obj]
 
     def cross(self, g: Line, h: Line) -> Point | None:
         pts = intersect(g, h)
         if len(pts) != 1:
             return None
-        self.trace.append(Step("intersect", (g, h), pts[0]))
+        self.trace.append(Step("intersect", (pts[0],), (g, h)))
         return pts[0]
 
     def _build_seeds(self):
@@ -208,8 +212,8 @@ class _Frame:
     def _rewind(self, length: int):
         """Drop trace entries of a failed harmonic attempt."""
         for step in self.trace[length:]:
-            if step.op == "line":
-                self._lines.pop(step.result, None)
+            if step.rule == "line":
+                self._lines.pop(step.made[0], None)
         del self.trace[length:]
 
     def axis_point(self, axis: str, t: Fraction) -> Point:
@@ -493,10 +497,10 @@ class RestrictedAlice:
                          self._disk_eps(r2))
         for step in result.trace:
             self._spend()
-            if step.op == "line":
-                yield RLine(*step.operands)
+            if step.rule == "line":
+                yield RLine(*step.parents)
             else:
-                yield RIntersect(*step.operands)
+                yield RIntersect(*step.parents)
         return result.point
 
     @staticmethod

@@ -1,11 +1,11 @@
-"""Deterministic SVG figures from run and game traces.
+"""Deterministic SVG figures from run, closure and densify traces.
 
 Rendering is presentation only: every coordinate is approximated to
 2^-20 and then formatted with six decimal places by integer
 arithmetic, so identical traces yield byte-identical documents.
-Input objects are drawn black, constructed objects walk a cold-to-warm
-color ramp in construction order, and an optional target point gets a
-highlight ring.
+Input and given objects are drawn black, constructed objects walk a
+cold-to-warm color ramp in construction order, and an optional target
+point gets a highlight ring.
 """
 
 from __future__ import annotations
@@ -71,28 +71,20 @@ def _clip_line(a: Fraction, b: Fraction, c: Fraction, box):
 
 
 def _drawables(trace):
-    """(objects, is_input) per event, in order, new objects only."""
+    """(objects, is_input) per step, in order, new objects only."""
     seen = set()
     batches = []
-    for event in trace:
-        if event.kind == "input":
-            objs = event.objs[:1]
-        elif event.kind in ("line", "circle"):
-            objs = event.objs[:1]
-        elif event.kind == "intersect":
-            objs = event.objs[2:]
-        elif event.kind in ("choose", "arbitrary"):
-            objs = event.objs[:1]
-        else:
+    for step in trace:
+        if step.rule == "test":
             continue
         fresh = []
-        for obj in objs:
+        for obj in step.made:
             if obj in seen:
                 continue
             seen.add(obj)
             fresh.append(obj)
         if fresh:
-            batches.append((fresh, event.kind == "input"))
+            batches.append((fresh, step.rule in ("input", "given")))
     return batches
 
 

@@ -14,17 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateInputError, RangeError
-from .geom import (
-    Circle,
-    Line,
-    Point,
-    ProjectiveMap,
-    between,
-    dist2,
-    dist_compare,
-    intersects,
-    orientation,
-)
+from .dsl.interp import decide
+from .geom import Circle, Line, Point, ProjectiveMap, dist2
 
 GAP_MAP = ProjectiveMap((("5/4", 0, "3/4"), (0, 1, 0), ("3/4", 0, "5/4")))
 
@@ -118,70 +109,49 @@ class _Transport:
                       f"{text}: point equidistant from center", True,
                       d == rec.expected)
 
-    def visit(self, index: int, ev) -> None:
-        if ev.kind == "input":
-            obj = ev.objs[0]
+    def visit(self, index: int, step) -> None:
+        rule, made, parents = step.rule, step.made, step.parents
+        if rule == "input":
+            obj = made[0]
             if isinstance(obj, Point):
                 self.point(obj)
             elif isinstance(obj, Line):
                 self.line(obj)
             elif isinstance(obj, Circle):
                 self.circles[obj] = _CompassRecord(self.point(obj.center))
-        elif ev.kind == "line":
-            obj, p, q = ev.objs
+        elif rule == "line":
+            p, q = parents
             image = Line.through(self.point(p), self.point(q))
-            self.lines[obj] = image
-            self.fact(index, "incidence", f"{ev.text}: endpoints collinear",
+            self.lines[made[0]] = image
+            self.fact(index, "incidence", f"{step.text}: endpoints collinear",
                       True, image.contains(self.point(p))
                       and image.contains(self.point(q)))
-        elif ev.kind == "circle":
-            obj, center, a, b = ev.objs
-            self.circles[obj] = _CompassRecord(
+        elif rule == "circle":
+            center, a, b = parents
+            self.circles[made[0]] = _CompassRecord(
                 self.point(center), dist2(self.point(a), self.point(b)))
-        elif ev.kind == "intersect":
-            g, h = ev.objs[0], ev.objs[1]
-            for p in ev.objs[2:]:
-                self.membership(index, ev.text, p, g)
-                self.membership(index, ev.text, p, h)
-        elif ev.kind in ("choose", "arbitrary"):
-            obj = ev.objs[0]
-            if isinstance(obj, Point):
-                self.point(obj)
-        elif ev.kind == "test":
-            self.visit_test(index, ev)
+        elif rule == "intersect":
+            g, h = parents
+            for p in made:
+                self.membership(index, step.text, p, g)
+                self.membership(index, step.text, p, h)
+        elif rule in ("choose", "arbitrary"):
+            if isinstance(made[0], Point):
+                self.point(made[0])
+        elif rule == "test":
+            self.visit_test(index, step)
 
-    def visit_test(self, index: int, ev) -> None:
-        before, kind, negated = ev.objs[0], ev.objs[1], ev.objs[2]
-        args = ev.objs[3:]
-        if any(isinstance(a, Circle) for a in args) and kind != "on":
+    def visit_test(self, index: int, step) -> None:
+        before, kind, negated = step.made
+        args = step.parents
+        if kind == "on" and isinstance(args[1], Circle):
+            self.membership(index, step.text, args[0], args[1])
             return
-        if kind == "equal":
-            after = self.image(args[0]) == self.image(args[1])
-            klass = "incidence"
-        elif kind == "on":
-            if isinstance(args[1], Circle):
-                self.membership(index, ev.text, args[0], args[1])
-                return
-            after = self.line(args[1]).contains(self.point(args[0]))
-            klass = "incidence"
-        elif kind == "intersects":
-            after = intersects(self.image(args[0]), self.image(args[1]))
-            klass = "ordering"
-        elif kind == "between":
-            after = between(*(self.point(a) for a in args))
-            klass = "ordering"
-        elif kind == "ccw":
-            after = orientation(*(self.point(a) for a in args)) > 0
-            klass = "ordering"
-        elif kind == "dist_le":
-            after = dist_compare(*(self.point(a) for a in args)) <= 0
-            klass = "ordering"
-        else:       # dist_eq
-            after = dist_compare(*(self.point(a) for a in args)) == 0
-            klass = "ordering"
-        if negated:
-            after = not after
-        self.fact(index, klass, ev.text, before, after)
+        if any(isinstance(a, Circle) for a in args):
+            return
+        after = decide(kind, [self.image(a) for a in args]) != negated
+        klass = "incidence" if kind in ("equal", "on") else "ordering"
+        self.fact(index, klass, step.text, before, after)
 
     def image(self, obj):
         if isinstance(obj, Point):
@@ -194,7 +164,7 @@ class _Transport:
 def transport(trace, tmap: ProjectiveMap = GAP_MAP) -> TransportReport:
     """Re-check a recorded run's facts under a projective map.
 
-    Walks trace events in order, transporting points by the map and
+    Walks trace steps in order, transporting points by the map and
     lines by joining transported endpoints.  Returns the fact list, a
     flag whether all incidence facts survived (they must, this is the
     projective guarantee), and the first broken compass or ordering
@@ -202,11 +172,11 @@ def transport(trace, tmap: ProjectiveMap = GAP_MAP) -> TransportReport:
     sends to infinity is reported as a broken compass fact.
     """
     state = _Transport(tmap)
-    for index, ev in enumerate(trace):
+    for index, step in enumerate(trace):
         try:
-            state.visit(index, ev)
+            state.visit(index, step)
         except (RangeError, DegenerateInputError) as exc:
-            state.fact(index, "compass", f"{ev.text}: {exc}", True, False)
+            state.fact(index, "compass", f"{step.text}: {exc}", True, False)
     incidence_sound = all(not f.broken for f in state.facts
                           if f.kind == "incidence")
     breakpoint_ = next((f for f in state.facts

@@ -127,7 +127,7 @@ def test_closure_fixed_point_and_midpoint_budget():
         verdict = derivable(point(t, 1, 0), [a, b], budget=budget)
         assert verdict.derivable and verdict.rounds <= 3
         for entry in verdict.state.trace:
-            assert entry.obj.height <= entry.round
+            assert entry.made[0].height <= entry.round
         assert time.monotonic() - start < 30.0
 
 

@@ -86,9 +86,15 @@ def test_run_json_trace(capsys):
     doc = json.loads(out)
     assert doc["outputs"] == [
         {"name": "M", "type": "point", "x": "1", "y": "0"}]
-    assert [ev["kind"] for ev in doc["trace"]] == [
-        "input", "input", "circle", "circle", "intersect", "line", "line",
-        "intersect"]
+    assert [(ev["kind"], ev["text"]) for ev in doc["trace"]] == [
+        ("input", "A = (<0 ~ 0>, <0 ~ 0>)"),
+        ("input", "B = (<2 ~ 2>, <0 ~ 0>)"),
+        ("circle", "c1 = circle(A; A, B)"),
+        ("circle", "c2 = circle(B; A, B)"),
+        ("intersect", "[P, Q] = intersect(c1, c2)"),
+        ("line", "l = line(P, Q)"),
+        ("line", "ab = line(A, B)"),
+        ("intersect", "[M] = intersect(l, ab)")]
 
 
 def test_run_writes_deterministic_svg(capsys, tmp_path):

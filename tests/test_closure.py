@@ -138,13 +138,13 @@ def test_trace_provenance_and_height_bound(tw):
     for e in res.state.trace:
         for parent in e.parents:
             assert id(parent) in seen or parent in (a, b)
-        seen.add(id(e.obj))
+        seen.add(id(e.made[0]))
         if e.rule == "given":
             assert e.round == 0 and e.parents == ()
         else:
             assert e.round >= 1 and len(e.parents) >= 2
-        if isinstance(e.obj, Point):
-            assert e.obj.height <= e.round
+        if isinstance(e.made[0], Point):
+            assert e.made[0].height <= e.round
     rules = {e.rule for e in res.state.trace}
     assert rules == {"given", "line", "circle", "intersect"}
 

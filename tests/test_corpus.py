@@ -79,7 +79,7 @@ def test_broken_entry_fails_on_canonical_input_with_witness():
     assert first.input_index == 0
     assert first.kind == "postcondition"
     assert "interior" in first.message
-    picks = [ev.text for ev in first.trace if ev.kind == "choose"]
+    picks = [ev.text for ev in first.trace if ev.rule == "choose"]
     assert picks[0] == "X = choose -> X1"
 
 

@@ -105,14 +105,14 @@ def _construction_requests(trace):
     """The referee requests a run's construction events stand for."""
     out = []
     for ev in trace:
-        if ev.kind == "line":
-            _, p, q = ev.objs
+        if ev.rule == "line":
+            p, q = ev.parents
             out.append(RLine(p, q))
-        elif ev.kind == "circle":
-            _, o, a, b = ev.objs
+        elif ev.rule == "circle":
+            o, a, b = ev.parents
             out.append(RCircle(o, a, b))
-        elif ev.kind == "intersect":
-            out.append(RIntersect(*ev.objs[:2]))
+        elif ev.rule == "intersect":
+            out.append(RIntersect(*ev.parents))
     return out
 
 

@@ -1,8 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from euclid import corpus
+from euclid.closure import Budget, closure
+from euclid.dsl.interp import run
 from euclid.errors import DegenerateInputError, ResourceLimitError, ScopeError
 from euclid.field import Tower
 from euclid.game import (
@@ -14,10 +17,9 @@ from euclid.game import (
     play,
     scripted_alice,
 )
-from euclid.geom import Point, dist2, point
+from euclid.geom import Circle, Line, Point, Step, dist2, point
 from euclid.net import (
     RestrictedAlice,
-    Step,
     densify,
     grid_gaps,
     replay_trace,
@@ -25,6 +27,7 @@ from euclid.net import (
     straightedge_only,
 )
 from euclid.regions import Disk
+from euclid.render import auto_viewport, render_svg
 
 
 def scaffold(tower):
@@ -116,11 +119,59 @@ def test_replay_trace_rejects_tampered_steps():
     result = densify(a, b, c, d, target, Fraction(1, 8))
     assert replay_trace(result.trace, [a, b, c, d])
     last = result.trace[-1]
-    forged = result.trace[:-1] + [Step(last.op, last.operands,
-                                       point(tw, 17, 17))]
+    forged = result.trace[:-1] + [Step(last.rule, (point(tw, 17, 17),),
+                                       last.parents)]
     assert not replay_trace(forged, [a, b, c, d])
     assert not straightedge_only(result.trace
-                                 + [Step("circle", (a, b), None)])
+                                 + [Step("circle", (), (a, b))])
+
+
+def _engine_trace(source: str, tw: Tower):
+    """A recorded trace and the objects it starts from, per engine."""
+    if source == "closure":
+        state = closure([point(tw, 0, 0), point(tw, 2, 0)],
+                        budget=Budget(max_rounds=2))
+        return state.trace, []
+    if source == "densify":
+        a, b, c, d = scaffold(tw)
+        target = point(tw, Fraction(3, 2), Fraction(3, 2))
+        return densify(a, b, c, d, target, Fraction(1, 8)).trace, \
+            [a, b, c, d]
+    e = corpus.entry(source)
+    return run(e.program(), e.canonical_inputs(tw)).trace, []
+
+
+def _stranger(obj):
+    """An object of the same type that no trace here ever makes."""
+    far, farther = point(obj.tower, 17, 17), point(obj.tower, 18, 19)
+    if isinstance(obj, Point):
+        return far
+    if isinstance(obj, Line):
+        return Line.through(far, farther)
+    return Circle.centered(far, farther)
+
+
+@pytest.mark.parametrize("source", [
+    *(e.name for e in corpus.entries() if e.name != "incenter_broken"),
+    "closure", "densify"])
+def test_replay_trace_rederives_every_engine(source):
+    tw = Tower()
+    trace, start = _engine_trace(source, tw)
+    assert replay_trace(trace, start)
+    assert render_svg(trace, auto_viewport(trace)).startswith("<?xml")
+    built = [i for i, step in enumerate(trace)
+             if step.rule in ("line", "circle", "intersect") and step.made]
+    # a wrong made object, in the first step of each construction rule
+    for rule in sorted({trace[i].rule for i in built}):
+        i = next(i for i in built if trace[i].rule == rule)
+        made = (_stranger(trace[i].made[0]),) + trace[i].made[1:]
+        forged = trace[:i] + [replace(trace[i], made=made)]
+        assert not replay_trace(forged, start), rule
+    # operands that are not known yet
+    assert not replay_trace([trace[built[-1]]] + trace, start)
+    # a choice of an object that was never made
+    chosen = Step("choose", (_stranger(trace[0].made[0]),))
+    assert not replay_trace(trace + [chosen], start)
 
 
 def test_restricted_alice_translates_disk_requests():

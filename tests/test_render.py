@@ -48,7 +48,7 @@ def test_inputs_black_and_constructed_on_the_ramp():
 
 def test_target_ring():
     trace = midpoint_trace()
-    target = trace[-1].objs[2]
+    target = trace[-1].made[0]
     doc = render_svg(trace, BOX, target=target)
     assert doc.count('class="target"') == 1
     line = next(ln for ln in doc.splitlines() if "target" in ln)
@@ -61,7 +61,7 @@ def test_byte_identical_for_identical_traces():
 
 
 def test_inputs_only_when_trace_stops_early():
-    trace = [ev for ev in midpoint_trace() if ev.kind == "input"]
+    trace = [ev for ev in midpoint_trace() if ev.rule == "input"]
     doc = render_svg(trace, BOX)
     assert doc.count('class="input-point"') == 2
     assert doc.count('class="curve"') == 0

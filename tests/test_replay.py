@@ -49,14 +49,42 @@ def test_apply_projective_on_lines_preserves_incidence():
         apply_projective(GAP_MAP, unit_circle(tw))
 
 
+EVERY_TEST = """
+construction probe(point a, point b, point c) {
+  let l = line(a, b);
+  let m = line(a, c);
+  let k = circle(a; a, b);
+  if equal(a, b) { let e = line(b, c); }
+  if on(b, l) { let o = line(b, c); }
+  if on(b, k) { let ok = line(b, c); }
+  if intersects(l, m) { let i = line(b, c); }
+  if between(a, b, c) { let bt = line(b, c); }
+  if not ccw(a, b, c) { let cw = line(b, c); }
+  if dist_le(a, b, a, c) { let le = line(b, c); }
+  if dist_eq(a, b, a, c) { let eq = line(b, c); }
+  return l;
+}
+"""
+
+
 def test_identity_transport_breaks_nothing():
     tw = Tower()
-    result = run(corpus.load_program("circle_center"), [unit_circle(tw)],
+    center = run(corpus.load_program("circle_center"), [unit_circle(tw)],
                  oracle=SamplingOracle(0))
-    report = transport(result.trace, ProjectiveMap.identity())
-    assert report.incidence_sound
-    assert report.breakpoint is None
-    assert all(not f.broken for f in report.facts)
+    probe = run(parse_program(EVERY_TEST),
+                [point(tw, 0, 0), point(tw, 2, 0), point(tw, 1, 1)])
+    for result in (center, probe):
+        report = transport(result.trace, ProjectiveMap.identity())
+        assert report.incidence_sound
+        assert report.breakpoint is None
+        assert all(not f.broken for f in report.facts)
+    classed = {f.index: f.kind for f in report.facts}
+    assert [(*step.made[1:], classed[i]) for i, step in enumerate(probe.trace)
+            if step.rule == "test"] == [
+        ("equal", False, "incidence"), ("on", False, "incidence"),
+        ("on", False, "compass"), ("intersects", False, "ordering"),
+        ("between", False, "ordering"), ("ccw", True, "ordering"),
+        ("dist_le", False, "ordering"), ("dist_eq", False, "ordering")]
 
 
 def test_center_trace_transport_locates_a_compass_breakpoint():
@@ -106,7 +134,7 @@ def test_transport_counts_all_event_facts():
     assert kinds == {"incidence", "compass"}
     # every intersect event contributes one membership fact per curve
     # per point
-    expected = sum(2 * len(ev.objs[2:]) for ev in result.trace
-                   if ev.kind == "intersect")
-    expected += sum(1 for ev in result.trace if ev.kind == "line")
+    expected = sum(2 * len(ev.made) for ev in result.trace
+                   if ev.rule == "intersect")
+    expected += sum(1 for ev in result.trace if ev.rule == "line")
     assert len(report.facts) == expected
