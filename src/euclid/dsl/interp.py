@@ -4,12 +4,13 @@ Runs a parsed program over exact geometric inputs.  Every predicate is
 decided with exact sign tests.  The statement executor is a generator:
 it yields one request per construction or arbitrary-point statement
 (`RLine`, `RCircle`, `RIntersect`, `RPointInDisk`, `RPointInCell`) and
-builds the object only after the yield, and an arbitrary-point
-statement binds whatever answer is sent back.  The driver verifies that
-answer: `run` asks an oracle and checks that the point lies strictly
-inside the requested region, and the game's scripted Alice forwards
-requests to the referee, which checks Bob's answer.  Runs abort with a
-stable machine-readable reason when a choose is not uniquely satisfied,
+binds the tuple of objects sent back; it constructs nothing itself.
+The caller builds a construction with the request's `build()` and
+answers a point request with one verified point: `run` asks an oracle
+and checks that the point lies strictly inside the requested region,
+and the game's scripted Alice forwards requests to the referee, which
+builds the objects and checks Bob's answer.  Runs abort with a stable
+machine-readable reason when a choose is not uniquely satisfied,
 an intersection has a different cardinality than declared, a while
 budget runs dry with its test still true, an oracle misbehaves, a step
 budget is exceeded, or a geometric step degenerates.
@@ -62,6 +63,9 @@ class RLine:
     p: Point
     q: Point
 
+    def build(self) -> tuple:
+        return (Line.through(self.p, self.q),)
+
 
 @dataclass(frozen=True)
 class RCircle:
@@ -71,11 +75,17 @@ class RCircle:
     a: Point
     b: Point
 
+    def build(self) -> tuple:
+        return (Circle(self.o, dist2(self.a, self.b)),)
+
 
 @dataclass(frozen=True)
 class RIntersect:
     g: object
     h: object
+
+    def build(self) -> tuple:
+        return tuple(intersect(self.g, self.h))
 
 
 @dataclass(frozen=True)
@@ -102,7 +112,8 @@ class RunResult:
 class SamplingOracle:
     """Deterministic seed-driven oracle scanning dyadic grids.
 
-    Answers avoid every object already present in the run, so repeated
+    Answers avoid every object of `state` (a run's objects, or the game
+    position when this class plays `game.SamplingBob`), so repeated
     requests yield fresh points.  Returns None when the bounded scan
     finds nothing.
     """
@@ -116,8 +127,8 @@ class SamplingOracle:
 
     def answer(self, region, state) -> Point | None:
         return sample_point(state.tower, region, self._rng,
-                            avoid_points=state.points(),
-                            avoid_curves=state.curves(),
+                            avoid_points=state.points,
+                            avoid_curves=state.curves,
                             tries_per_stage=self.tries_per_stage,
                             max_stage=self.max_stage)
 
@@ -144,9 +155,11 @@ class _State:
         self.tower = tower
         self._env = env
 
+    @property
     def points(self) -> list[Point]:
         return [v for v in self._env.values() if isinstance(v, Point)]
 
+    @property
     def curves(self) -> list:
         return [v for v in self._env.values() if isinstance(v, (Line, Circle))]
 
@@ -205,8 +218,9 @@ class _Run:
     def exec_stmt(self, st):
         """Execute one statement, yielding its requests.
 
-        Degeneracy is checked before the yield and the object is built
-        after it, so a driver that stops on a request builds nothing.
+        Degeneracy is checked before the yield, so a caller that stops
+        on a request builds nothing; the statement binds what the caller
+        sends back.
         """
         self.tick()
         if isinstance(st, LetLine):
@@ -214,8 +228,7 @@ class _Run:
             if p == q:
                 self.abort("degenerate-step", f"line {st.name}: "
                            "line through two identical points")
-            yield RLine(p, q)
-            obj = Line.through(p, q)
+            obj, = yield RLine(p, q)
             self.env[st.name] = obj
             self.trace.append(Step("line", (obj,), (p, q),
                                    label=f"{st.name} = line({st.p}, {st.q})"))
@@ -225,8 +238,7 @@ class _Run:
             if a == b:
                 self.abort("degenerate-step", f"circle {st.name}: "
                            "circle needs a positive squared radius")
-            yield RCircle(center, a, b)
-            obj = Circle(center, dist2(a, b))
+            obj, = yield RCircle(center, a, b)
             self.env[st.name] = obj
             self.trace.append(Step(
                 "circle", (obj,), (center, a, b),
@@ -236,8 +248,7 @@ class _Run:
             if g == h:
                 self.abort("degenerate-step",
                            f"intersect({st.g}, {st.h}) of identical curves")
-            yield RIntersect(g, h)
-            pts = intersect(g, h)
+            pts = yield RIntersect(g, h)
             if len(pts) != len(st.names):
                 self.abort("intersection-count-mismatch",
                            f"intersect({st.g}, {st.h}) gave {len(pts)} "
@@ -245,7 +256,7 @@ class _Run:
             for name, p in zip(st.names, pts):
                 self.env[name] = p
             self.trace.append(Step(
-                "intersect", tuple(pts), (g, h),
+                "intersect", pts, (g, h),
                 label=f"[{', '.join(st.names)}] = intersect({st.g}, {st.h})"))
         elif isinstance(st, LetChoose):
             passing = []
@@ -273,8 +284,8 @@ class _Run:
         elif isinstance(st, LetArbitrary):
             region = build_region(self.env, self.tower, st.region)
             self.asking = st.name
-            answer = yield (RPointInDisk(region) if isinstance(region, Disk)
-                            else RPointInCell(region))
+            answer, = yield (RPointInDisk(region) if isinstance(region, Disk)
+                             else RPointInCell(region))
             self.env[st.name] = answer
             self.trace.append(Step(
                 "arbitrary", (answer,), label=f"{st.name} = arbitrary -> "))
@@ -294,14 +305,15 @@ class _Run:
         else:       # pragma: no cover - checker admits no other nodes
             raise TypeError(f"unexpected statement {st!r}")
 
-    def ask(self, oracle, request):
-        """The oracle's verified answer to a point request, else None."""
+    def ask(self, oracle, request) -> tuple:
+        """What a request made: a construction's built objects, or the
+        oracle's verified answer to a point request as a 1-tuple."""
         if isinstance(request, RPointInDisk):
             region = request.disk
         elif isinstance(request, RPointInCell):
             region = request.cell
         else:
-            return None
+            return request.build()
         answer = oracle.answer(region, _State(self.tower, self.env))
         if answer is None:
             self.abort("region-scan-exhausted",
@@ -314,7 +326,7 @@ class _Run:
             self.abort("oracle-violation",
                        f"oracle answer {fmt(answer)} for {self.asking} "
                        "is outside the requested region")
-        return answer
+        return (answer,)
 
     def eval_test(self, test: Test, record: bool = True) -> bool:
         args = [self.env[n] for n in test.args]
@@ -385,13 +397,13 @@ def run(program: Program, inputs, oracle=None, tower=None,
     for name, value in env.items():
         state.trace.append(Step("input", (value,), label=f"{name} = "))
     steps = state.exec_block(program.body)
-    answer = None
+    made = None
     while True:
         try:
-            request = steps.send(answer)
+            request = steps.send(made)
         except StopIteration:
             break
-        answer = state.ask(oracle, request)
+        made = state.ask(oracle, request)
     outputs = tuple(env[name] for name in program.returns)
     return RunResult(outputs, dict(env), state.trace, state.steps)
 
@@ -399,8 +411,9 @@ def run(program: Program, inputs, oracle=None, tower=None,
 def requests(program: Program, inputs):
     """A run of a checked program as a generator of its requests.
 
-    Send each point request's answer back in, unverified; send None
-    after a construction request.  Raises RunAbort as `run` does.
+    Send back in the tuple each request made: a construction request's
+    objects as its `build()` gives them, a point request's answer as a
+    1-tuple, unverified.  Raises RunAbort as `run` does.
     """
     env = bind_inputs(program, inputs)
     return _Run(env, _tower_of(env, None),

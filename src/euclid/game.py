@@ -25,10 +25,11 @@ from .dsl.interp import (
     RLine,
     RPointInCell,
     RPointInDisk,
+    SamplingOracle,
     requests,
 )
 from .errors import RunAbort
-from .geom import Circle, Line, Point, dist2, fmt, intersect, point
+from .geom import Circle, Line, Point, fmt, point
 from .regions import Cell, Disk, inscribe_disk, sample_point
 
 STRAIGHTEDGE_OPS = frozenset({"line", "intersect"})
@@ -120,11 +121,12 @@ class Position:
 class GameMove:
     index: int
     request: object
-    answer: Point | None        # Bob's point for point requests
+    made: tuple     # all the referee built, new or not, or Bob's one point
     added: tuple
 
     def text(self) -> str:
-        bob = fmt(self.answer) if self.answer is not None else "-"
+        bob = fmt(self.made[0]) \
+            if isinstance(self.request, (RPointInDisk, RPointInCell)) else "-"
         if self.request is STOP:
             alice = "stop"
         else:
@@ -190,7 +192,8 @@ def play(points, curves, target, alice, bob,
          max_moves: int = DEFAULT_MAX_MOVES) -> GameRecord:
     """Referee a game from the configuration (points, curves).
 
-    Alice is a callable (position, moves_so_far) -> Request or STOP;
+    Alice is a callable (position, moves_so_far) -> Request or STOP.
+    The referee builds construction requests with their `build()`, and
     Bob answers point requests via `answer(region, position)`.  The
     game ends with AliceWins when the target is in the position,
     Timeout at the move budget or when Alice stops, and Aborted on a
@@ -204,20 +207,15 @@ def play(points, curves, target, alice, bob,
     for index in range(1, max_moves + 1):
         request = alice(position, record.moves)
         if request is STOP:
-            record.moves.append(GameMove(index, STOP, None, ()))
+            record.moves.append(GameMove(index, STOP, (), ()))
             record.outcome = Timeout(max_moves)
             return record
         problem = _validate(request, position)
         if problem is not None:
             record.outcome = Aborted("malformed-request", problem)
             return record
-        answer = None
-        if isinstance(request, RLine):
-            new = [Line.through(request.p, request.q)]
-        elif isinstance(request, RCircle):
-            new = [Circle(request.o, dist2(request.a, request.b))]
-        elif isinstance(request, RIntersect):
-            new = intersect(request.g, request.h)
+        if isinstance(request, (RLine, RCircle, RIntersect)):
+            made = request.build()
         else:
             region = request.disk if isinstance(request, RPointInDisk) \
                 else request.cell
@@ -234,9 +232,9 @@ def play(points, curves, target, alice, bob,
                     "bob-violation",
                     f"answer {fmt(answer)} is outside the requested region")
                 return record
-            new = [answer]
-        added = tuple(obj for obj in new if position.add(obj))
-        record.moves.append(GameMove(index, request, answer, added))
+            made = (answer,)
+        added = tuple(obj for obj in made if position.add(obj))
+        record.moves.append(GameMove(index, request, made, added))
         if position.contains(target):
             record.outcome = AliceWins(index)
             return record
@@ -251,12 +249,12 @@ class ScriptedAlice:
     """Plays a checked construction program as a request strategy.
 
     Drives the construction-program interpreter as a request generator:
-    each construction or point request goes to the referee, and the
-    answer recorded on the last move is sent back in (None after a
+    each construction or point request goes to the referee, and what
+    the last move made is sent back in (the referee's objects after a
     construction request, Bob's verified point after a point request).
-    choose, if, and while run privately on the interpreter's own exact
-    mirror of the position, which stays faithful because construction
-    requests are deterministic.  When the program ends or the run
+    choose, if, and while run privately on the interpreter's mirror of
+    the position, which holds the referee's own objects, so Alice never
+    constructs anything herself.  When the program ends or the run
     aborts (degenerate step, failed choose, wrong intersection count,
     exhausted budget) the strategy stops.
     """
@@ -267,10 +265,10 @@ class ScriptedAlice:
         self._started = False
 
     def __call__(self, position, moves):
-        answer = moves[-1].answer if self._started else None
+        made = moves[-1].made if self._started else None
         self._started = True
         try:
-            return self._requests.send(answer)
+            return self._requests.send(made)
         except (StopIteration, RunAbort):
             return STOP
 
@@ -318,22 +316,7 @@ class UniformView:
 # ---------------------------------------------------------------------------
 # Bobs.
 
-class SamplingBob:
-    """Benign adversary answering with fresh dyadic-grid points."""
-
-    def __init__(self, seed: int = 0, tries_per_stage: int = 64,
-                 max_stage: int = 12):
-        self.seed = seed
-        self.tries_per_stage = tries_per_stage
-        self.max_stage = max_stage
-        self._rng = random.Random(seed)
-
-    def answer(self, region, position: Position) -> Point | None:
-        return sample_point(position.tower, region, self._rng,
-                            avoid_points=position.points,
-                            avoid_curves=position.curves,
-                            tries_per_stage=self.tries_per_stage,
-                            max_stage=self.max_stage)
+SamplingBob = SamplingOracle    # the benign adversary is the run oracle
 
 
 def sampling_bob(seed: int = 0) -> SamplingBob:

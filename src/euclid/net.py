@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateInputError, ResourceLimitError, ScopeError
-from .game import STOP, GameMove, RIntersect, RLine, RPointInCell, RPointInDisk
-from .geom import Circle, Line, Point, Step, dist2, intersect, orientation
+from .game import (STOP, GameMove, RCircle, RIntersect, RLine, RPointInCell,
+                   RPointInDisk)
+from .geom import Line, Point, Step, dist2, intersect, orientation
 from .regions import Cell, contains_closed_disk
 
 DEFAULT_MAX_ITERATIONS = 96
@@ -47,29 +48,30 @@ def straightedge_only(trace) -> bool:
     return all(step.rule in ("line", "intersect") for step in trace)
 
 
+# A construction step's request: its parents are the request's fields.
+_REQUEST = {"line": RLine, "circle": RCircle, "intersect": RIntersect}
+
+
 def replay_trace(trace, objects) -> bool:
     """Re-derive a run, closure or densify trace, checking every step.
 
     `objects` are known from the start.  Input, given and arbitrary
     steps make their object known; test and abort steps are skipped.
     A line, circle or intersect step must take only known parents, and
-    every object it made must be in the exact recomputation from them;
-    a choose step must pick a known object.  Any other rule, or any
-    failed check, gives False.
+    every object it made must be in what its request builds from them;
+    a choose step must pick a known object.  Any other rule, a
+    degenerate construction step, or any failed check gives False.
     """
     known = set(objects)
     for step in trace:
         rule, made, parents = step.rule, step.made, step.parents
-        if rule in ("line", "circle", "intersect"):
+        if rule in _REQUEST:
             if not known.issuperset(parents):
                 return False
-            if rule == "line":
-                redo = (Line.through(*parents),)
-            elif rule == "circle":
-                center, a, b = parents
-                redo = (Circle(center, dist2(a, b)),)
-            else:
-                redo = intersect(*parents)
+            try:
+                redo = _REQUEST[rule](*parents).build()
+            except DegenerateInputError:
+                return False
             for m in made:
                 if m not in redo:
                     return False
@@ -454,7 +456,7 @@ class RestrictedAlice:
             if isinstance(request, RPointInDisk):
                 answer = yield from self._translate(request.disk)
                 self._virtual.append(
-                    GameMove(len(self._virtual) + 1, request, answer,
+                    GameMove(len(self._virtual) + 1, request, (answer,),
                              (answer,)))
             else:
                 self._spend()
@@ -467,16 +469,15 @@ class RestrictedAlice:
         if len(points) < 2:
             raise ResourceLimitError(
                 "translation needs two position points to start from")
-        base = Line.through(points[0], points[1])
         self._spend()
-        yield RLine(points[0], points[1])
+        base, = (yield RLine(points[0], points[1])).made
         candidates = []
         triangle = None
         for attempt in range(self.scaffold_tries):
             sign = 1 if attempt % 2 == 0 else -1
             self._spend()
             move = yield RPointInCell(Cell(((base, sign),)))
-            candidates.append(move.answer)
+            candidates.append(move.made[0])
             triangle = self._containing_triangle(candidates, center, r2)
             if triangle is not None:
                 break
@@ -486,21 +487,17 @@ class RestrictedAlice:
         ta, tb, tc = triangle
         sides = []
         for p, q, opposite in ((ta, tb, tc), (tb, tc, ta), (tc, ta, tb)):
-            side = Line.through(p, q)
             self._spend()
-            yield RLine(p, q)
+            side, = (yield RLine(p, q)).made
             sides.append((side, side.side(opposite)))
         self._spend()
         move = yield RPointInCell(Cell(tuple(sides)))
-        companion = move.answer
+        companion, = move.made
         result = densify(ta, tb, tc, companion, center,
                          self._disk_eps(r2))
         for step in result.trace:
             self._spend()
-            if step.rule == "line":
-                yield RLine(*step.parents)
-            else:
-                yield RIntersect(*step.parents)
+            yield _REQUEST[step.rule](*step.parents)
         return result.point
 
     @staticmethod

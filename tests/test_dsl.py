@@ -10,6 +10,7 @@ from euclid.dsl import (
     recorded_answers,
     run,
 )
+from euclid.dsl.interp import RCircle, RIntersect, RLine, requests
 from euclid.errors import CheckError, DegenerateInputError, ParseError, RunAbort
 from euclid.field import Tower
 from euclid.geom import Circle, Line, dist2, point
@@ -65,6 +66,32 @@ def test_midpoint_runs_exactly(tw):
     # comments and squeezed whitespace parse to the same program
     squeezed = MIDPOINT.replace("\n", " ") + "  # trailing comment\n"
     assert parse_program(squeezed) == prog
+
+
+def test_requests_bind_the_objects_sent_back(tw):
+    # Each construction request is answered with objects built here; the
+    # interpreter builds none itself, so later requests take these very
+    # objects as operands.
+    a, b = point(tw, 0, 0), point(tw, 2, 0)
+    steps = requests(parse_program(MIDPOINT), [a, b])
+    assert steps.send(None) == RCircle(a, a, b)
+    k1 = Circle(a, dist2(a, b))
+    assert steps.send((k1,)) == RCircle(b, a, b)
+    k2 = Circle(b, dist2(a, b))
+    cross = steps.send((k2,))
+    assert isinstance(cross, RIntersect)
+    assert cross.g is k1 and cross.h is k2
+    pq = tuple(geom_intersect(k1, k2))
+    chord = steps.send(pq)
+    assert isinstance(chord, RLine)
+    assert chord.p is pq[0] and chord.q is pq[1]
+    l = Line.through(*pq)
+    assert steps.send((l,)) == RLine(a, b)
+    ab = Line.through(a, b)
+    last = steps.send((ab,))
+    assert last.g is l and last.h is ab
+    with pytest.raises(StopIteration):
+        steps.send(tuple(geom_intersect(l, ab)))
 
 
 def test_parse_errors_carry_positions():

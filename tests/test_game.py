@@ -137,12 +137,37 @@ def test_game_play_equals_run_with_bobs_answers(name):
                       sampling_bob(seed), max_moves=1000)
         assert isinstance(record.outcome, AliceWins), (index, seed)
         requests = [m.request for m in record.moves]
-        answers = [m.answer for m in record.moves
+        answers = [m.made[0] for m in record.moves
                    if isinstance(m.request, (RPointInDisk, RPointInCell))]
         result = run(program, inputs, ReplayOracle(answers))
         assert _construction_requests(result.trace) == \
             [r for r in requests if isinstance(r, (RLine, RCircle, RIntersect))]
+        # the referee and `run` build the same objects in order
+        assert [m.made for m in record.moves
+                if isinstance(m.request, (RLine, RCircle, RIntersect))] == \
+            [s.made for s in result.trace
+             if s.rule in ("line", "circle", "intersect")]
         assert all(record.position.contains(o) for o in result.outputs)
+
+
+def test_scripted_play_builds_each_intersection_once(monkeypatch):
+    # Every intersect runs exactly one of these two kernels; only the
+    # referee builds, so there is one call per intersect move.
+    from euclid import geom
+    calls = []
+    for name in ("_line_line", "_line_circle"):
+        def counted(*args, kernel=getattr(geom, name)):
+            calls.append(kernel)
+            return kernel(*args)
+        monkeypatch.setattr(geom, name, counted)
+    tw = Tower()
+    a, b = point(tw, 0, 0), point(tw, 2, 0)
+    alice = scripted_alice(corpus.load_program("midpoint"), [a, b])
+    record = play([a, b], [], point(tw, 1, 0), alice, sampling_bob(0))
+    assert record.outcome == AliceWins(6)
+    crossings = [m for m in record.moves if isinstance(m.request, RIntersect)]
+    assert len(crossings) == 2
+    assert len(calls) == len(crossings)
 
 
 def test_scripted_intersection_count_mismatch_stops_after_the_request():

@@ -172,6 +172,13 @@ def test_replay_trace_rederives_every_engine(source):
     # a choice of an object that was never made
     chosen = Step("choose", (_stranger(trace[0].made[0]),))
     assert not replay_trace(trace + [chosen], start)
+    # degenerate steps on known operands
+    p = next(m for step in trace for m in step.made if isinstance(m, Point))
+    curve = next(step.made[0] for step in trace
+                 if step.rule in ("line", "circle") and step.made)
+    for forged in (Step("line", (), (p, p)), Step("circle", (), (p, p, p)),
+                   Step("intersect", (), (curve, curve))):
+        assert not replay_trace(trace + [forged], start), forged.rule
 
 
 def test_restricted_alice_translates_disk_requests():
@@ -182,7 +189,7 @@ def test_restricted_alice_translates_disk_requests():
 
     def inner(position, moves):
         if any(isinstance(m.request, RPointInDisk) for m in moves):
-            assert (dist2(moves[-1].answer, center) - r2).sign() < 0
+            assert (dist2(moves[-1].made[0], center) - r2).sign() < 0
             return STOP
         return RPointInDisk(Disk(center, r2))
 
