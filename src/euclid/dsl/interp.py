@@ -4,16 +4,16 @@ Runs a parsed program over exact geometric inputs.  Every predicate is
 decided with exact sign tests.  The statement executor is a generator:
 it yields one request per construction or arbitrary-point statement
 (`RLine`, `RCircle`, `RIntersect`, `RPointInDisk`, `RPointInCell`) and
-binds the tuple of objects sent back; it constructs nothing itself.
-The caller builds a construction with the request's `build()` and
-answers a point request with one verified point: `run` asks an oracle
-and checks that the point lies strictly inside the requested region,
-and the game's scripted Alice forwards requests to the referee, which
-builds the objects and checks Bob's answer.  Runs abort with a stable
-machine-readable reason when a choose is not uniquely satisfied,
-an intersection has a different cardinality than declared, a while
-budget runs dry with its test still true, an oracle misbehaves, a step
-budget is exceeded, or a geometric step degenerates.
+binds the tuple of objects sent back; it constructs and checks nothing
+itself.  The caller builds a construction with the request's `build()`,
+whose `geom` constructors are the one test for degenerate steps, and
+answers a point request with one point that `answer_problem` accepts:
+`run` asks an oracle, and the game's scripted Alice forwards requests
+to the referee, which builds the objects and checks Bob's answer.  Runs
+abort with a stable machine-readable reason when a choose is not
+uniquely satisfied, an intersection has a different cardinality than
+declared, a while budget runs dry with its test still true, an oracle
+misbehaves, a step budget is exceeded, or a geometric step degenerates.
 """
 
 from __future__ import annotations
@@ -90,15 +90,27 @@ class RIntersect:
 
 @dataclass(frozen=True)
 class RPointInDisk:
-    disk: Disk
+    region: Disk
 
 
 @dataclass(frozen=True)
 class RPointInCell:
-    cell: Cell
+    region: Cell
 
 
 Request = RLine | RCircle | RIntersect | RPointInDisk | RPointInCell
+
+
+def answer_problem(region, answer, tower) -> str | None:
+    """Why `answer` may not answer a point request for `region` in
+    `tower`, or None when it is a point of the tower strictly inside."""
+    if answer is None:
+        return "no point found in the requested region"
+    if not isinstance(answer, Point) or answer.tower is not tower:
+        return f"answer {fmt(answer)} is not a point of this session"
+    if not region.contains(answer):
+        return f"answer {fmt(answer)} is outside the requested region"
+    return None
 
 
 @dataclass
@@ -199,7 +211,7 @@ class _Run:
         self.max_steps = max_steps
         self.steps = 0
         self.trace: list[Step] = []
-        self.asking = None      # name the pending point request binds
+        self.asking = None      # the statement the pending request is for
 
     def abort(self, reason: str, message: str):
         self.trace.append(Step("abort", label=f"{reason}: {message}"))
@@ -218,16 +230,13 @@ class _Run:
     def exec_stmt(self, st):
         """Execute one statement, yielding its requests.
 
-        Degeneracy is checked before the yield, so a caller that stops
-        on a request builds nothing; the statement binds what the caller
-        sends back.
+        The statement binds what the caller sends back; `asking` names
+        it while its request is pending.
         """
         self.tick()
         if isinstance(st, LetLine):
             p, q = self.env[st.p], self.env[st.q]
-            if p == q:
-                self.abort("degenerate-step", f"line {st.name}: "
-                           "line through two identical points")
+            self.asking = f"line {st.name}"
             obj, = yield RLine(p, q)
             self.env[st.name] = obj
             self.trace.append(Step("line", (obj,), (p, q),
@@ -235,9 +244,7 @@ class _Run:
         elif isinstance(st, LetCircle):
             center, a, b = (self.env[st.center], self.env[st.a],
                             self.env[st.b])
-            if a == b:
-                self.abort("degenerate-step", f"circle {st.name}: "
-                           "circle needs a positive squared radius")
+            self.asking = f"circle {st.name}"
             obj, = yield RCircle(center, a, b)
             self.env[st.name] = obj
             self.trace.append(Step(
@@ -245,9 +252,7 @@ class _Run:
                 label=f"{st.name} = circle({st.center}; {st.a}, {st.b})"))
         elif isinstance(st, LetIntersect):
             g, h = self.env[st.g], self.env[st.h]
-            if g == h:
-                self.abort("degenerate-step",
-                           f"intersect({st.g}, {st.h}) of identical curves")
+            self.asking = f"intersect({st.g}, {st.h})"
             pts = yield RIntersect(g, h)
             if len(pts) != len(st.names):
                 self.abort("intersection-count-mismatch",
@@ -283,7 +288,7 @@ class _Run:
                 "choose", (obj,), label=f"{st.name} = choose -> {cand}"))
         elif isinstance(st, LetArbitrary):
             region = build_region(self.env, self.tower, st.region)
-            self.asking = st.name
+            self.asking = f"arbitrary {st.name}"
             answer, = yield (RPointInDisk(region) if isinstance(region, Disk)
                              else RPointInCell(region))
             self.env[st.name] = answer
@@ -308,24 +313,16 @@ class _Run:
     def ask(self, oracle, request) -> tuple:
         """What a request made: a construction's built objects, or the
         oracle's verified answer to a point request as a 1-tuple."""
-        if isinstance(request, RPointInDisk):
-            region = request.disk
-        elif isinstance(request, RPointInCell):
-            region = request.cell
-        else:
-            return request.build()
-        answer = oracle.answer(region, _State(self.tower, self.env))
-        if answer is None:
-            self.abort("region-scan-exhausted",
-                       f"oracle found no point for {self.asking}")
-        if not isinstance(answer, Point) or answer.tower is not self.tower:
-            self.abort("oracle-violation",
-                       f"oracle answer for {self.asking} is not a point "
-                       "of this session")
-        if not region.contains(answer):
-            self.abort("oracle-violation",
-                       f"oracle answer {fmt(answer)} for {self.asking} "
-                       "is outside the requested region")
+        if not isinstance(request, (RPointInDisk, RPointInCell)):
+            try:
+                return request.build()
+            except DegenerateInputError as exc:
+                self.abort("degenerate-step", f"{self.asking}: {exc}")
+        answer = oracle.answer(request.region, _State(self.tower, self.env))
+        problem = answer_problem(request.region, answer, self.tower)
+        if problem is not None:
+            self.abort("region-scan-exhausted" if answer is None
+                       else "oracle-violation", f"{self.asking}: {problem}")
         return (answer,)
 
     def eval_test(self, test: Test, record: bool = True) -> bool:
@@ -413,7 +410,10 @@ def requests(program: Program, inputs):
 
     Send back in the tuple each request made: a construction request's
     objects as its `build()` gives them, a point request's answer as a
-    1-tuple, unverified.  Raises RunAbort as `run` does.
+    1-tuple.  The generator checks neither: the caller meets a
+    degenerate step as the DegenerateInputError of `build()` and judges
+    an answer with `answer_problem`.  Raises RunAbort as `run` does for
+    the other reasons.
     """
     env = bind_inputs(program, inputs)
     return _Run(env, _tower_of(env, None),

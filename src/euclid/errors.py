@@ -59,6 +59,7 @@ class RunAbort(EuclidError):
     def __init__(self, reason: str, message: str, trace=None):
         super().__init__(f"{reason}: {message}")
         self.reason = reason
+        self.message = message
         self.trace = trace
 
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from fractions import Fraction
 
 from .errors import (
@@ -123,7 +122,10 @@ def _half(u: Terms) -> Terms:
 
 
 class Tower:
-    """A session of quadratic extensions; all elements are tied to one."""
+    """A session of quadratic extensions; all elements are tied to one.
+
+    A tower is single-threaded: its radicands and caches grow unguarded.
+    """
 
     def __init__(self, height_cap: int | None = None,
                  sqrt_search_budget: int = 50_000,
@@ -139,7 +141,6 @@ class Tower:
         self._sqrt_memo: dict[tuple, Constructible] = {}
         self._monos: dict[tuple[int, int], Terms] = {}          # see _mono
         self._bounds: dict[tuple[int, int], tuple[int, int]] = {}   # see _bound
-        self._lock = threading.RLock()
         self.zero = self._make(({}, 1))
         self.one = self._make(({0: 1}, 1))
 
@@ -346,7 +347,8 @@ class Tower:
         """
         budget[0] -= 1
         if budget[0] < 0:
-            raise _SearchBudget()
+            # an uncertified radicand would break canonicity
+            raise ResourceLimitError("square-root search budget exhausted")
         num, den = t
         if not num:
             return t
@@ -384,54 +386,40 @@ class Tower:
         return None
 
     def _sqrt(self, x: "Constructible") -> "Constructible":
-        with self._lock:
-            s = self._sign(x._num)
-            if s < 0:
-                raise NegativeRadicandError("sqrt of negative value")
-            if s == 0:
-                return self.zero
-            key = x._key()
-            hit = self._sqrt_memo.get(key)
-            if hit is not None:
-                return hit
-            t = x._terms
-            try:
-                budget = [self.sqrt_search_budget]
-                w = self._try_sqrt_t(t, len(self._radicands), budget)
-            except _SearchBudget:
-                # an uncertified radicand would break canonicity
-                raise ResourceLimitError("square-root search budget exhausted")
-            if w is None:
-                used = self._used_of(x._num)
-                if used.bit_count() + 1 > self.height_cap:
-                    raise ResourceLimitError(
-                        f"tower height cap {self.height_cap} exceeded")
-                self._radicands.append(t)
-                self._rad_used.append(used)
-                self._rad_inv.append(self._inv_t(t))
-                w = {1 << (len(self._radicands) - 1): 1}, 1
-            res = self._make(w)
-            self._sqrt_memo[key] = res
-            return res
+        s = self._sign(x._num)
+        if s < 0:
+            raise NegativeRadicandError("sqrt of negative value")
+        if s == 0:
+            return self.zero
+        key = x._key()
+        hit = self._sqrt_memo.get(key)
+        if hit is not None:
+            return hit
+        t = x._terms
+        w = self._try_sqrt_t(t, len(self._radicands),
+                             [self.sqrt_search_budget])
+        if w is None:
+            used = self._used_of(x._num)
+            if used.bit_count() + 1 > self.height_cap:
+                raise ResourceLimitError(
+                    f"tower height cap {self.height_cap} exceeded")
+            self._radicands.append(t)
+            self._rad_used.append(used)
+            self._rad_inv.append(self._inv_t(t))
+            w = {1 << (len(self._radicands) - 1): 1}, 1
+        res = self._make(w)
+        self._sqrt_memo[key] = res
+        return res
 
     def _try_sqrt(self, x: "Constructible", max_index: int | None) -> "Constructible | None":
-        with self._lock:
-            if max_index is None:
-                max_index = len(self._radicands)
-            if _top(x._num) > max_index:
-                raise ValueError("element is outside the requested sub-tower")
-            if self._sign(x._num) < 0:
-                return None
-            try:
-                budget = [self.sqrt_search_budget]
-                w = self._try_sqrt_t(x._terms, max_index, budget)
-            except _SearchBudget:
-                raise ResourceLimitError("square-root search budget exhausted")
-            return None if w is None else self._make(w)
-
-
-class _SearchBudget(Exception):
-    pass
+        if max_index is None:
+            max_index = len(self._radicands)
+        if _top(x._num) > max_index:
+            raise ValueError("element is outside the requested sub-tower")
+        if self._sign(x._num) < 0:
+            return None
+        w = self._try_sqrt_t(x._terms, max_index, [self.sqrt_search_budget])
+        return None if w is None else self._make(w)
 
 
 class Constructible:
@@ -595,7 +583,9 @@ class Constructible:
         return self.tower._sqrt(self)
 
     def try_sqrt_in_field(self, max_index: int | None = None) -> "Constructible | None":
-        """Square root within the first `max_index` radicands, else None."""
+        """Square root within the first `max_index` radicands, else None.
+
+        Raises ResourceLimitError when the search budget runs out."""
         return self.tower._try_sqrt(self, max_index)
 
     def char_poly(self) -> list[int]:

@@ -26,9 +26,10 @@ from .dsl.interp import (
     RPointInCell,
     RPointInDisk,
     SamplingOracle,
+    answer_problem,
     requests,
 )
-from .errors import RunAbort
+from .errors import DegenerateInputError, RunAbort
 from .geom import Circle, Line, Point, fmt, point
 from .regions import Cell, Disk, inscribe_disk, sample_point
 
@@ -73,11 +74,7 @@ def _request_text(request) -> str:
                 f"radius |{fmt(request.a)} {fmt(request.b)}|")
     if isinstance(request, RIntersect):
         return f"intersect {fmt(request.g)} with {fmt(request.h)}"
-    if isinstance(request, RPointInDisk):
-        return f"point in {request.disk!r}"
-    if isinstance(request, RPointInCell):
-        return f"point in {request.cell!r}"
-    return repr(request)
+    return f"point in {request.region!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -152,36 +149,32 @@ class GameRecord:
 # Referee.
 
 def _validate(request, position: Position) -> str | None:
-    """A malformed-request message, or None when the request is valid."""
+    """A malformed-request message when the request names anything
+    outside the position, or None.  Degenerate constructions are left to
+    the request's `build()`."""
     if isinstance(request, RLine):
         for p in (request.p, request.q):
             if not position.contains(p):
                 return f"line endpoint {fmt(p)} is not in the position"
-        if request.p == request.q:
-            return "line through two identical points"
         return None
     if isinstance(request, RCircle):
         for p in (request.o, request.a, request.b):
             if not position.contains(p):
                 return f"circle reference {fmt(p)} is not in the position"
-        if request.a == request.b:
-            return "circle with zero radius"
         return None
     if isinstance(request, RIntersect):
         for c in (request.g, request.h):
             if not isinstance(c, (Line, Circle)) or not position.contains(c):
                 return f"intersection operand {fmt(c)} is not in the position"
-        if request.g == request.h:
-            return "intersection of a curve with itself"
         return None
     if isinstance(request, RPointInDisk):
-        if not isinstance(request.disk, Disk):
+        if not isinstance(request.region, Disk):
             return "disk request without a disk"
         return None
     if isinstance(request, RPointInCell):
-        if not isinstance(request.cell, Cell):
+        if not isinstance(request.region, Cell):
             return "cell request without a cell"
-        for curve, _ in request.cell.conds:
+        for curve, _ in request.region.conds:
             if not position.contains(curve):
                 return f"cell condition on {fmt(curve)} outside the position"
         return None
@@ -194,10 +187,12 @@ def play(points, curves, target, alice, bob,
 
     Alice is a callable (position, moves_so_far) -> Request or STOP.
     The referee builds construction requests with their `build()`, and
-    Bob answers point requests via `answer(region, position)`.  The
-    game ends with AliceWins when the target is in the position,
-    Timeout at the move budget or when Alice stops, and Aborted on a
-    malformed request or a misbehaving Bob.
+    Bob answers point requests via `answer(region, position)`; the
+    answer counts when `answer_problem` accepts it.  The game ends with
+    AliceWins when the target is in the position, Timeout at the move
+    budget or when Alice stops, and Aborted with its reason when Alice
+    raises RunAbort (a scripted Alice's run aborted), a request is
+    malformed or degenerate, or Bob misbehaves.
     """
     position = Position(points, curves)
     record = GameRecord(None, [], position)
@@ -205,7 +200,11 @@ def play(points, curves, target, alice, bob,
         record.outcome = AliceWins(0)
         return record
     for index in range(1, max_moves + 1):
-        request = alice(position, record.moves)
+        try:
+            request = alice(position, record.moves)
+        except RunAbort as exc:
+            record.outcome = Aborted(exc.reason, exc.message)
+            return record
         if request is STOP:
             record.moves.append(GameMove(index, STOP, (), ()))
             record.outcome = Timeout(max_moves)
@@ -214,25 +213,21 @@ def play(points, curves, target, alice, bob,
         if problem is not None:
             record.outcome = Aborted("malformed-request", problem)
             return record
-        if isinstance(request, (RLine, RCircle, RIntersect)):
-            made = request.build()
-        else:
-            region = request.disk if isinstance(request, RPointInDisk) \
-                else request.cell
-            answer = bob.answer(region, position)
-            if answer is None:
+        if isinstance(request, (RPointInDisk, RPointInCell)):
+            answer = bob.answer(request.region, position)
+            problem = answer_problem(request.region, answer, position.tower)
+            if problem is not None:
                 record.outcome = Aborted(
-                    "region-scan-exhausted",
-                    "Bob found no point for the requested region")
-                return record
-            if not isinstance(answer, Point) \
-                    or answer.tower is not position.tower \
-                    or not region.contains(answer):
-                record.outcome = Aborted(
-                    "bob-violation",
-                    f"answer {fmt(answer)} is outside the requested region")
+                    "region-scan-exhausted" if answer is None
+                    else "bob-violation", problem)
                 return record
             made = (answer,)
+        else:
+            try:
+                made = request.build()
+            except DegenerateInputError as exc:
+                record.outcome = Aborted("malformed-request", str(exc))
+                return record
         added = tuple(obj for obj in made if position.add(obj))
         record.moves.append(GameMove(index, request, made, added))
         if position.contains(target):
@@ -254,9 +249,9 @@ class ScriptedAlice:
     construction request, Bob's verified point after a point request).
     choose, if, and while run privately on the interpreter's mirror of
     the position, which holds the referee's own objects, so Alice never
-    constructs anything herself.  When the program ends or the run
-    aborts (degenerate step, failed choose, wrong intersection count,
-    exhausted budget) the strategy stops.
+    constructs anything herself.  When the program ends the strategy
+    stops; when the run aborts, its RunAbort reaches `play`, which ends
+    the game Aborted with the run's reason.
     """
 
     def __init__(self, program: Program, inputs):
@@ -269,19 +264,12 @@ class ScriptedAlice:
         self._started = True
         try:
             return self._requests.send(made)
-        except (StopIteration, RunAbort):
+        except StopIteration:
             return STOP
 
 
 def scripted_alice(program: Program, inputs) -> ScriptedAlice:
     return ScriptedAlice(program, inputs)
-
-
-def never_stop_alice(request_factory):
-    """Strategy issuing `request_factory(position)` forever."""
-    def strategy(position, moves):
-        return request_factory(position)
-    return strategy
 
 
 class UniformView:

@@ -454,7 +454,7 @@ class RestrictedAlice:
             if request is STOP:
                 return
             if isinstance(request, RPointInDisk):
-                answer = yield from self._translate(request.disk)
+                answer = yield from self._translate(request.region)
                 self._virtual.append(
                     GameMove(len(self._virtual) + 1, request, (answer,),
                              (answer,)))

@@ -229,6 +229,28 @@ def test_game_transcript_and_json(capsys):
     assert len(doc["moves"]) == 6
 
 
+def test_game_scripted_abort_keeps_its_reason(capsys, tmp_path):
+    cfg = tmp_path / "parallels.cfg"
+    cfg.write_text("point A = (0, 0)\npoint B = (2, 0)\npoint C = (0, 1)\n"
+                   "point D = (2, 1)\ntarget point T = (9, 9)\n",
+                   encoding="utf-8")
+    script = tmp_path / "parallels.construct"
+    script.write_text("""
+        construction parallels(point A, point B, point C, point D) {
+            let g = line(A, B);
+            let h = line(C, D);
+            let [X] = intersect(g, h);
+            return X;
+        }
+    """, encoding="utf-8")
+    code, out, _ = invoke(capsys, "game", str(cfg), "--target", "T",
+                          "--alice", f"script:{script}",
+                          "--bob", "sampling:0")
+    assert code == 1
+    assert out == "Aborted (intersection-count-mismatch): intersect(g, h) " \
+        "gave 0 points, statement binds 1\n"
+
+
 def test_game_bad_bob_spec(capsys):
     code, _, err = invoke(capsys, "game", AB, "--target", "M",
                           "--alice", "corpus:midpoint", "--bob", "psychic")

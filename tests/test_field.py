@@ -290,6 +290,10 @@ def test_sqrt_budget_exhaustion_raises_instead_of_extending():
         (5 + 2 * t.from_rational(6).sqrt()).sqrt()
         t.from_rational(2).sqrt()
     assert t.height == 1
+    with pytest.raises(ResourceLimitError,
+                       match="square-root search budget exhausted"):
+        (5 + 2 * t.from_rational(6).sqrt()).try_sqrt_in_field()
+    assert t.height == 1
 
 
 _small = st.integers(-3, 3)

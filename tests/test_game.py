@@ -6,6 +6,8 @@ import pytest
 from euclid import corpus
 from euclid.closure import ALL_OPS
 from euclid.dsl import ReplayOracle, SamplingOracle, parse_program, run
+from euclid.dsl.interp import answer_problem
+from euclid.errors import RunAbort
 from euclid.field import Tower
 from euclid.game import (
     STOP,
@@ -185,24 +187,38 @@ def test_scripted_intersection_count_mismatch_stops_after_the_request():
     record = play([a, b, c, d], [], point(tw, 9, 9),
                   scripted_alice(program, [a, b, c, d]), None)
     assert [type(m.request) for m in record.moves] == \
-        [RLine, RLine, RIntersect, type(STOP)]
+        [RLine, RLine, RIntersect]
     assert record.moves[2].added == ()
-    assert record.outcome == Timeout(50)
+    assert record.outcome == Aborted(
+        "intersection-count-mismatch",
+        "intersect(g, h) gave 0 points, statement binds 1")
 
 
-def test_scripted_degenerate_line_stops_before_any_request():
+# (body, inputs, statement, geom's message, line moves before the step)
+@pytest.mark.parametrize("body, inputs, statement, problem, lines", [
+    ("let g = line(A, B); return g;", ((1, 1), (1, 1), (0, 0)),
+     "line g", "line through two identical points", 0),
+    ("let c = circle(A; B, C); return c;", ((0, 0), (1, 1), (1, 1)),
+     "circle c", "circle needs a positive squared radius", 0),
+    ("let g = line(A, B); let h = line(A, B); let [X] = intersect(g, h);"
+     " return X;", ((0, 0), (1, 1), (0, 0)),
+     "intersect(g, h)", "identical lines", 2),
+], ids=["line", "circle", "intersect"])
+def test_scripted_degenerate_step_stops_before_any_request(
+        body, inputs, statement, problem, lines):
     tw = Tower()
-    a = point(tw, 1, 1)
-    program = parse_program("""
-        construction same_point_line(point A, point B) {
-            let g = line(A, B);
-            return g;
-        }
-    """)
-    record = play([a], [], point(tw, 9, 9), scripted_alice(program, [a, a]),
-                  None)
-    assert [m.request for m in record.moves] == [STOP]
-    assert record.outcome == Timeout(50)
+    inputs = [point(tw, *xy) for xy in inputs]
+    program = parse_program("construction degenerate(point A, point B, "
+                            f"point C) {{ {body} }}")
+    with pytest.raises(RunAbort) as ei:
+        run(program, inputs)
+    assert ei.value.reason == "degenerate-step"
+    assert ei.value.message == f"{statement}: {problem}"
+    record = play(inputs, [], point(tw, 9, 9),
+                  scripted_alice(program, inputs), None)
+    # the degenerate step itself is never a move
+    assert [type(m.request) for m in record.moves] == [RLine] * lines
+    assert record.outcome == Aborted("malformed-request", problem)
 
 
 def test_malformed_requests_abort():
@@ -224,6 +240,15 @@ def test_malformed_requests_abort():
     record = play([a, b], [], point(tw, 1, 0), alice2, None)
     assert record.outcome.reason == "malformed-request"
 
+    l = Line.through(a, b)
+    for request, problem in (
+            (RCircle(a, b, b), "circle needs a positive squared radius"),
+            (RIntersect(l, l), "identical lines")):
+        record = play([a, b], [l], point(tw, 1, 1),
+                      lambda position, moves: request, None)
+        assert record.outcome == Aborted("malformed-request", problem)
+        assert record.moves == []
+
 
 def test_bob_violation_aborts():
     tw = Tower()
@@ -238,6 +263,44 @@ def test_bob_violation_aborts():
 
     record = play([a], [], point(tw, 1, 0), alice, LiarBob())
     assert record.outcome.reason == "bob-violation"
+
+
+def test_run_and_referee_judge_point_answers_alike():
+    tw = Tower()
+    a, b = point(tw, 0, 0), point(tw, 2, 0)
+    program = parse_program("""
+        construction pick(point A, point B) {
+            let X = arbitrary in_disk(A, 1/4);
+            return X;
+        }
+    """)
+    region = Disk(a, tw.from_rational(Fraction(1, 4)))
+    bad_answers = (None, point(Tower(), 0, 0), Line.through(a, b),
+                   point(tw, 1, 0))
+
+    class FixedBob:
+        def __init__(self, given):
+            self.given = given
+
+        def answer(self, region, position):
+            return self.given
+
+    for bad in bad_answers:
+        problem = answer_problem(region, bad, tw)
+        assert problem is not None
+        with pytest.raises(RunAbort) as ei:
+            run(program, [a, b], ReplayOracle([bad]))
+        record = play([a, b], [], point(tw, 9, 9),
+                      lambda position, moves: RPointInDisk(region),
+                      FixedBob(bad))
+        exhausted = bad is None
+        assert ei.value.reason == ("region-scan-exhausted" if exhausted
+                                   else "oracle-violation")
+        assert record.outcome.reason == ("region-scan-exhausted" if exhausted
+                                         else "bob-violation")
+        assert record.outcome.message == problem
+        assert ei.value.message == f"arbitrary X: {problem}"
+    assert answer_problem(region, point(tw, Fraction(1, 8), 0), tw) is None
 
 
 def test_empty_cell_request_exhausts_the_scan():
