@@ -408,19 +408,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, CheckError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DegenerateInputError, RangeError, ScopeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, ParseError, CheckError, DegenerateInputError,
+            RangeError, ScopeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RunAbort as exc:

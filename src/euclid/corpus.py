@@ -31,6 +31,7 @@ from .geom import (
     orientation,
     point,
 )
+from .regions import triangle_cell
 
 DEFAULT_INPUT_SAMPLES = 20
 DEFAULT_ORACLE_SEEDS = 5
@@ -300,16 +301,11 @@ def _post_angle_bisector(inputs, outputs):
 
 
 def _post_incenter(inputs, outputs):
-    a, b, c = inputs
     i, = outputs
-    sides = ((Line.through(a, b), c),
-             (Line.through(b, c), a),
-             (Line.through(c, a), b))
-    for side_line, opposite in sides:
-        s = side_line.side(i)
-        if s == 0 or s != side_line.side(opposite):
-            return "center is not strictly interior to the triangle"
-    (lab, _), (lbc, _), (lca, _) = sides
+    cell = triangle_cell(*inputs)
+    if not cell.contains(i):
+        return "center is not strictly interior to the triangle"
+    (lab, _), (lbc, _), (lca, _) = cell.conds
     nab = lab.a * lab.a + lab.b * lab.b
     nbc = lbc.a * lbc.a + lbc.b * lbc.b
     nca = lca.a * lca.a + lca.b * lca.b

@@ -36,6 +36,9 @@ from .regions import Cell, Disk, inscribe_disk, sample_point
 STRAIGHTEDGE_OPS = frozenset({"line", "intersect"})
 
 DEFAULT_MAX_MOVES = 50
+BOB_TRIES = 32          # sub-disks a CertificateBob draws per request
+SUBSET_SAMPLES = 4      # member sets check_certificate closes once
+SUBSET_SIZE = 2         # points in each of those sets
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +153,8 @@ class GameRecord:
 
 def _validate(request, position: Position) -> str | None:
     """A malformed-request message when the request names anything
-    outside the position, or None.  Degenerate constructions are left to
-    the request's `build()`."""
+    outside the position, or a disk from another tower, or None.
+    Degenerate constructions are left to the request's `build()`."""
     if isinstance(request, RLine):
         for p in (request.p, request.q):
             if not position.contains(p):
@@ -168,8 +171,12 @@ def _validate(request, position: Position) -> str | None:
                 return f"intersection operand {fmt(c)} is not in the position"
         return None
     if isinstance(request, RPointInDisk):
-        if not isinstance(request.region, Disk):
+        disk = request.region
+        if not isinstance(disk, Disk):
             return "disk request without a disk"
+        tower = position.tower
+        if disk.center.tower is not tower or disk.r2.tower is not tower:
+            return "disk request from another session"
         return None
     if isinstance(request, RPointInCell):
         if not isinstance(request.region, Cell):
@@ -365,19 +372,18 @@ class CertificateBob:
 
     A disk inscribed in the requested region is found by seeded
     sampling, then the certificate's enumerator picks a member inside
-    it; sub-disks are re-drawn until the member is new to the position.
+    it; sub-disks are re-drawn, up to BOB_TRIES times, until the member
+    is new to the position.
     """
 
-    def __init__(self, cert: CertificateDescriptor, seed: int = 0,
-                 tries: int = 32):
+    def __init__(self, cert: CertificateDescriptor, seed: int = 0):
         self.cert = cert
         self.seed = seed
-        self.tries = tries
         self._rng = random.Random(seed)
 
     def answer(self, region, position: Position) -> Point | None:
         tower = position.tower
-        for _ in range(self.tries):
+        for _ in range(BOB_TRIES):
             q = sample_point(tower, region, self._rng,
                              avoid_points=position.points,
                              avoid_curves=position.curves)
@@ -429,16 +435,15 @@ def _lattice_centers():
 
 
 def check_certificate(cert: CertificateDescriptor, points, curves, target,
-                      ops=STRAIGHTEDGE_OPS, subset_samples: int = 4,
-                      subset_size: int = 2, seed: int = 0,
-                      tower=None) -> CertificateCheck:
+                      ops=STRAIGHTEDGE_OPS, seed: int = 0) -> CertificateCheck:
     """Probe the falsifiable consequences of a negative certificate.
 
     Checks, in order: every configuration object is a member; the
-    target is not; for sampled finite member sets, one closure round
-    under `ops` stays inside the certificate; the enumerator hits a
-    grid of small disks.  The first violation is returned as a witness;
-    a PASS is sampled evidence, not a proof.
+    target is not; for SUBSET_SAMPLES sampled member sets of
+    SUBSET_SIZE points, one closure round under `ops` stays inside the
+    certificate; the enumerator hits a grid of small disks.  The first
+    violation is returned as a witness; a PASS is sampled evidence, not
+    a proof.
     """
     checked = 0
     for p in points:
@@ -453,16 +458,13 @@ def check_certificate(cert: CertificateDescriptor, points, curves, target,
     if cert.contains(target):
         return CertificateCheck(False, "target-member", target, checked)
 
-    if tower is None:
-        for obj in list(points) + list(curves) + [target]:
-            tower = obj.tower
-            break
+    tower = [*points, *curves, target][0].tower
     rng = random.Random(seed)
     centers = _lattice_centers()
     quarter = Fraction(1, 4)
-    for trial in range(subset_samples):
+    for trial in range(SUBSET_SAMPLES):
         sample = []
-        for slot in range(subset_size):
+        for slot in range(SUBSET_SIZE):
             cx, cy = centers[(trial + slot) % len(centers)]
             if trial > 0:
                 cx = cx + Fraction(rng.randint(-2, 2), 4)

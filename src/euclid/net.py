@@ -4,12 +4,14 @@ Four points in general position (a triangle and an interior companion)
 form a projective frame.  Reading the companion as the image of the
 standard simplex center, every rational point of the frame is reachable
 by iterated harmonic conjugates, each built from lines and
-intersections only.  `densify` walks mediant ladders on the two frame
-axes toward a target and assembles a derivable point within a requested
-distance, returning the full construction trace; `grid_gaps` measures
-the exact mesh of the derivable grid per refinement level; and
-`RestrictedAlice` uses the same machinery to translate disk requests of
-a game strategy into cell requests plus construction moves.
+intersections only.  One mediant descent (`_MediantWalk`) reaches every
+axis point: `densify` walks it on the two frame axes toward a target and
+assembles a derivable point within a requested distance, returning the
+full construction trace; `grid_gaps` measures the exact mesh of the
+derivable grid per refinement level; and `RestrictedAlice` uses the same
+machinery to translate disk requests of a game strategy into cell
+requests (a triangle's interior is `regions.triangle_cell`) plus
+construction moves.
 
 `replay_trace` re-derives a trace of `geom.Step` records from its
 initial objects, whichever engine wrote it: a run, a closure or a
@@ -20,15 +22,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import DegenerateInputError, ResourceLimitError, ScopeError
 from .game import (STOP, GameMove, RCircle, RIntersect, RLine, RPointInCell,
                    RPointInDisk)
 from .geom import Line, Point, Step, dist2, intersect, orientation
-from .regions import Cell, contains_closed_disk
+from .regions import Cell, contains_closed_disk, triangle_cell
 
 DEFAULT_MAX_ITERATIONS = 96
 WALK_STEPS_PER_ITERATION = 4
+SCAFFOLD_TRIES = 24     # cell requests RestrictedAlice makes per disk
 
 
 @dataclass
@@ -170,16 +174,15 @@ class _Frame:
         y = (wa * self.a.y + wb * self.b.y + wc * self.c.y) * inv
         return Point(x, y)
 
-    def _frame_of_axis(self, axis: str, t: Fraction):
-        return (t, Fraction(0)) if axis == "ab" else (Fraction(0), t)
-
     # -- harmonic ladder --------------------------------------------
 
     def harm(self, axis: str, p: Point, q: Point, w: Point) -> Point:
         """Fourth harmonic of w with respect to p, q on an axis line.
 
-        Built from a complete quadrilateral over auxiliary frame points;
-        auxiliary pairs are retried until no step degenerates.
+        Built from a complete quadrilateral over auxiliary frame points
+        r and g.  An attempt whose step degenerates is rewound to the
+        line (w, r) and the next g is tried; when no g works for r, the
+        trace is rewound to before that line and the next r is tried.
         """
         axis_line = self._axis_line[axis]
         saved = len(self.trace)
@@ -187,29 +190,30 @@ class _Frame:
             if axis_line.contains(r):
                 continue
             l1 = self.line(w, r)
+            mark = len(self.trace)
             for g in self._pool:
                 if g == p or axis_line.contains(g) or l1.contains(g):
                     continue
-                s = self.cross(l1, self.line(p, g))
-                if s is None or s == r:
-                    self._rewind(saved)
-                    l1 = self.line(w, r)
-                    continue
-                x1 = self.cross(self.line(p, r), self.line(q, s))
-                x2 = self.cross(self.line(p, s), self.line(q, r))
-                if x1 is None or x2 is None or x1 == x2:
-                    self._rewind(saved)
-                    l1 = self.line(w, r)
-                    continue
-                h = self.cross(self.line(x1, x2), axis_line)
-                if h is None:
-                    self._rewind(saved)
-                    l1 = self.line(w, r)
-                    continue
-                return h
+                h = self._quadrilateral(axis_line, p, q, l1, r, g)
+                if h is not None:
+                    return h
+                self._rewind(mark)
             self._rewind(saved)
         raise DegenerateInputError(
             "no admissible auxiliary points for a harmonic step")
+
+    def _quadrilateral(self, axis_line: Line, p: Point, q: Point, l1: Line,
+                       r: Point, g: Point) -> Point | None:
+        """One harmonic attempt over (r, g), or None when a step
+        degenerates."""
+        s = self.cross(l1, self.line(p, g))
+        if s is None or s == r:
+            return None
+        x1 = self.cross(self.line(p, r), self.line(q, s))
+        x2 = self.cross(self.line(p, s), self.line(q, r))
+        if x1 is None or x2 is None or x1 == x2:
+            return None
+        return self.cross(self.line(x1, x2), axis_line)
 
     def _rewind(self, length: int):
         """Drop trace entries of a failed harmonic attempt."""
@@ -219,32 +223,17 @@ class _Frame:
         del self.trace[length:]
 
     def axis_point(self, axis: str, t: Fraction) -> Point:
-        """Construct the axis point with frame coordinate t in [0, 1].
-
-        Descends the mediant tree from the seeded {0, 1/2, 1}; every
-        mediant is the harmonic conjugate of an already constructed
-        ancestor with respect to the interval ends.
-        """
+        """Construct the axis point with frame coordinate t in [0, 1]."""
         stock = self.stock[axis]
         if t in stock:
             return stock[t]
         if t < 0 or t > 1:
             raise ScopeError(f"axis coordinate {t} outside [0, 1]")
-        lo, hi = Fraction(0), Fraction(1, 2)
-        if t > hi:
-            lo, hi = hi, Fraction(1)
+        walk = _MediantWalk(self, axis, self.tower.from_rational(t))
         for _ in range(100_000):
-            if t == lo:
-                return stock[lo]
-            if t == hi:
-                return stock[hi]
-            m = self._mediant_point(axis, lo, hi)
-            if t == m:
-                return stock[m]
-            if t < m:
-                hi = m
-            else:
-                lo = m
+            walk.step()
+            if walk.exact is not None:
+                return stock[walk.exact]
         raise ResourceLimitError(f"mediant descent to {t} did not land")
 
     def _mediant_point(self, axis: str, lo: Fraction, hi: Fraction):
@@ -256,7 +245,7 @@ class _Frame:
         partner = Fraction(lo.numerator - hi.numerator,
                            lo.denominator - hi.denominator)
         point = self.harm(axis, stock[lo], stock[hi], stock[partner])
-        expected = self.from_frame(*self._frame_of_axis(axis, m))
+        expected = self.from_frame(*((m, 0) if axis == "ab" else (0, m)))
         if point != expected:
             raise RuntimeError("harmonic step disagrees with the frame map")
         stock[m] = point
@@ -279,7 +268,14 @@ class _Frame:
 
 
 class _MediantWalk:
-    """Mediant descent toward one exact frame coordinate."""
+    """Mediant descent toward one exact frame coordinate in [0, 1].
+
+    Descends the mediant (Stern-Brocot) tree from the seeded {0, 1/2,
+    1}: each step constructs the mediant of the current interval ends
+    as the harmonic conjugate of an already constructed ancestor with
+    respect to those ends, then keeps the half holding the value.
+    `exact` is set once a mediant equals the value.
+    """
 
     def __init__(self, frame: _Frame, axis: str, value):
         self.frame = frame
@@ -295,8 +291,6 @@ class _MediantWalk:
             self.lo, self.hi = Fraction(0), half
         else:
             self.lo, self.hi = half, Fraction(1)
-        for t in (self.lo, self.hi):
-            self.frame.axis_point(self.axis, t)
 
     def _compare(self, t: Fraction) -> int:
         return (self.value - self.frame.tower.from_rational(t)).sign()
@@ -327,12 +321,9 @@ class _MediantWalk:
 def _require_scaffold(a: Point, b: Point, c: Point, d: Point):
     if orientation(a, b, c) == 0:
         raise DegenerateInputError("scaffold triangle is degenerate")
-    for p, q, opposite in ((a, b, c), (b, c, a), (c, a, b)):
-        side = Line.through(p, q)
-        s = side.side(d)
-        if s == 0 or s != side.side(opposite):
-            raise DegenerateInputError(
-                "companion point is not strictly inside the triangle")
+    if not triangle_cell(a, b, c).contains(d):
+        raise DegenerateInputError(
+            "companion point is not strictly inside the triangle")
 
 
 def densify(a: Point, b: Point, c: Point, d: Point, target: Point, eps,
@@ -412,35 +403,32 @@ class RestrictedAlice:
     """Wraps a strategy so that it never issues a disk request.
 
     Disk requests are simulated: a scaffold triangle around the disk is
-    gathered from cell requests, an interior companion is requested,
-    and the densification trace is replayed as line and intersection
-    requests until a derivable point lands inside the disk.  That point
-    is then presented to the inner strategy as if Bob had answered the
-    original request.  Raises ResourceLimitError when the translation
+    gathered from up to SCAFFOLD_TRIES cell requests, its sides are
+    requested, an interior companion is requested from the triangle's
+    cell, and the densification trace is replayed as line and
+    intersection requests until a derivable point lands inside the
+    disk.  That point is then presented to the inner strategy as if Bob
+    had answered the original request.  The translation runs as one
+    generator that each call resumes with the last move; once it ends
+    the strategy stops.  Raises ResourceLimitError when the translation
     exceeds its move budget.
     """
 
-    def __init__(self, inner, translation_budget: int = 4000,
-                 scaffold_tries: int = 24):
+    def __init__(self, inner, translation_budget: int = 4000):
         self.inner = inner
         self.budget = translation_budget
-        self.scaffold_tries = scaffold_tries
-        self._gen = None
-        self._done = False
         self._position = None
         self._virtual: list[GameMove] = []
+        self._requests = self._drive()
+        self._started = False
 
     def __call__(self, position, moves):
         self._position = position
-        if self._done:
-            return STOP
+        move = moves[-1] if self._started else None
+        self._started = True
         try:
-            if self._gen is None:
-                self._gen = self._drive()
-                return next(self._gen)
-            return self._gen.send(moves[-1])
+            return self._requests.send(move)
         except StopIteration:
-            self._done = True
             return STOP
 
     def _spend(self):
@@ -472,27 +460,25 @@ class RestrictedAlice:
         self._spend()
         base, = (yield RLine(points[0], points[1])).made
         candidates = []
-        triangle = None
-        for attempt in range(self.scaffold_tries):
+        for attempt in range(SCAFFOLD_TRIES):
             sign = 1 if attempt % 2 == 0 else -1
             self._spend()
             move = yield RPointInCell(Cell(((base, sign),)))
             candidates.append(move.made[0])
-            triangle = self._containing_triangle(candidates, center, r2)
-            if triangle is not None:
+            found = self._containing_triangle(candidates, center, r2)
+            if found is not None:
                 break
-        if triangle is None:
+        else:
             raise ResourceLimitError(
                 "translation found no triangle containing the disk")
-        ta, tb, tc = triangle
-        sides = []
-        for p, q, opposite in ((ta, tb, tc), (tb, tc, ta), (tc, ta, tb)):
+        (ta, tb, tc), cell = found
+        for p, q in ((ta, tb), (tb, tc), (tc, ta)):
             self._spend()
-            side, = (yield RLine(p, q)).made
-            sides.append((side, side.side(opposite)))
+            yield RLine(p, q)
+        # the referee compares curves structurally, so the cell's sides
+        # are the lines just requested
         self._spend()
-        move = yield RPointInCell(Cell(tuple(sides)))
-        companion, = move.made
+        companion, = (yield RPointInCell(cell)).made
         result = densify(ta, tb, tc, companion, center,
                          self._disk_eps(r2))
         for step in result.trace:
@@ -517,21 +503,14 @@ class RestrictedAlice:
 
     @staticmethod
     def _containing_triangle(candidates, center, r2):
-        n = len(candidates)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    tri = (candidates[i], candidates[j], candidates[k])
-                    if orientation(*tri) == 0:
-                        continue
-                    conds = []
-                    for p, q, opposite in ((tri[0], tri[1], tri[2]),
-                                           (tri[1], tri[2], tri[0]),
-                                           (tri[2], tri[0], tri[1])):
-                        side = Line.through(p, q)
-                        conds.append((side, side.side(opposite)))
-                    if contains_closed_disk(Cell(tuple(conds)), center, r2):
-                        return tri
+        """The first candidate triangle whose open interior holds the
+        closed disk, with that interior as a cell, or None."""
+        for tri in combinations(candidates, 3):
+            if orientation(*tri) == 0:
+                continue
+            cell = triangle_cell(*tri)
+            if contains_closed_disk(cell, center, r2):
+                return tri, cell
         return None
 
 

@@ -2,7 +2,8 @@
 
 A region is either an open disk or an open cell cut out by strict side
 conditions against known lines and circles.  Membership is decided with
-exact sign tests.  `contains_closed_disk` checks that a whole closed
+exact sign tests.  `triangle_cell` is the open interior of a triangle
+as a cell.  `contains_closed_disk` checks that a whole closed
 rational disk fits inside a region, again exactly, by squaring away the
 square roots in the distance comparisons.  `sample_point` hunts for a
 rational member on dyadic grids of increasing resolution.
@@ -69,6 +70,19 @@ class Cell:
 Region = Disk | Cell
 
 
+def triangle_cell(a: Point, b: Point, c: Point) -> Cell:
+    """The open interior of a nondegenerate triangle: each side line
+    keeps the side of the opposite vertex."""
+    conds = []
+    for p, q, opposite in ((a, b, c), (b, c, a), (c, a, b)):
+        side = Line.through(p, q)
+        sign = side.side(opposite)
+        if sign == 0:
+            raise DegenerateInputError("triangle is degenerate")
+        conds.append((side, sign))
+    return Cell(tuple(conds))
+
+
 def _closed_disk_inside_circle(d2, r2, rho2) -> bool:
     """dist(q,o) + rho < r, all quantities squared and exact."""
     if (d2 - r2).sign() >= 0:
@@ -120,15 +134,19 @@ def contains_closed_disk(region: Region, q: Point, rho2) -> bool:
     return True
 
 
-def inscribe_disk(region: Region, q: Point, max_halvings: int = 200):
+INSCRIBE_HALVINGS = 200
+
+
+def inscribe_disk(region: Region, q: Point):
     """A positive rational rho2 whose closed disk around q fits, or None.
 
     q must lie strictly inside the region; the squared radius starts at 1
-    and halves until the exact fit test passes.
+    and halves, at most INSCRIBE_HALVINGS times, until the exact fit test
+    passes.
     """
     rho2 = q.tower.from_rational(1)
     half = q.tower.from_rational(Fraction(1, 2))
-    for _ in range(max_halvings):
+    for _ in range(INSCRIBE_HALVINGS):
         if contains_closed_disk(region, q, rho2):
             return rho2
         rho2 = rho2 * half

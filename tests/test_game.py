@@ -80,10 +80,6 @@ def test_never_stop_strategy_times_out():
     tw = Tower()
     a, b = point(tw, 0, 0), point(tw, 2, 0)
 
-    def alice(position, moves):
-        return RLine(a, b) if not moves else \
-            RIntersect(position.curves[0], position.curves[0])
-
     def harmless(position, moves):
         return RLine(a, b)
 
@@ -247,6 +243,19 @@ def test_malformed_requests_abort():
         record = play([a, b], [l], point(tw, 1, 1),
                       lambda position, moves: request, None)
         assert record.outcome == Aborted("malformed-request", problem)
+        assert record.moves == []
+
+
+def test_disk_request_from_another_session_aborts():
+    tw, other = Tower(), Tower()
+    a = point(tw, 0, 0)
+    for disk in (Disk(point(other, 0, 0), tw.from_rational(1)),
+                 Disk(point(tw, 0, 0), other.from_rational(1))):
+        record = play([a], [], point(tw, 1, 1),
+                      lambda position, moves: RPointInDisk(disk),
+                      sampling_bob(0))
+        assert record.outcome == Aborted(
+            "malformed-request", "disk request from another session")
         assert record.moves == []
 
 

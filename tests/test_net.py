@@ -26,7 +26,7 @@ from euclid.net import (
     restricted_alice,
     straightedge_only,
 )
-from euclid.regions import Disk
+from euclid.regions import Disk, triangle_cell
 from euclid.render import auto_viewport, render_svg
 
 
@@ -69,6 +69,39 @@ def test_densify_reaches_irrational_target():
     assert replay_trace(result.trace, [a, b, c, d])
 
 
+@pytest.mark.parametrize("x, y, eps, pinned", [
+    (Fraction(3, 2), Fraction(5, 4), Fraction(1, 64),
+     (229, 2, (Fraction(4, 9), Fraction(10, 27)))),
+    (Fraction(1, 3), Fraction(2, 7), Fraction(1, 256),
+     (778, 3, (Fraction(8, 55), Fraction(6, 49)))),
+    ("sqrt2", 1, Fraction(1, 128),
+     (342, 2, (Fraction(15, 34), Fraction(5, 16)))),
+    (Fraction(7, 2), Fraction(1, 4), Fraction(1, 32),
+     (485, 4, (Fraction(28, 31), Fraction(2, 31)))),
+])
+def test_densify_trace_length_iterations_and_frame_coords_are_pinned(
+        x, y, eps, pinned):
+    tw = Tower()
+    a, b, c, d = scaffold(tw)
+    tx = tw.from_rational(2).sqrt() if x == "sqrt2" else tw.from_rational(x)
+    result = densify(a, b, c, d, Point(tx, tw.from_rational(y)), eps)
+    assert (len(result.trace), result.iterations,
+            result.frame_coords) == pinned
+
+
+def test_triangle_cell_is_the_open_interior():
+    tw = Tower()
+    a, b, c = point(tw, 0, 0), point(tw, 4, 0), point(tw, 0, 4)
+    for tri in ((a, b, c), (a, c, b)):
+        cell = triangle_cell(*tri)
+        assert cell.contains(point(tw, 1, 1))
+        for excluded in (b, point(tw, 2, 2), point(tw, 2, 0),
+                         point(tw, 3, 3), point(tw, -1, 1)):
+            assert not cell.contains(excluded)
+    with pytest.raises(DegenerateInputError):
+        triangle_cell(a, b, point(tw, 8, 0))
+
+
 def test_densify_iterations_grow_as_eps_shrinks():
     tw = Tower()
     a, b, c, d = scaffold(tw)
@@ -83,9 +116,11 @@ def test_densify_iterations_grow_as_eps_shrinks():
 def test_densify_rejects_bad_scaffolds_and_targets():
     tw = Tower()
     a, b, c, d = scaffold(tw)
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(DegenerateInputError,
+                       match="scaffold triangle is degenerate"):
         densify(a, b, point(tw, 8, 0), d, point(tw, 1, 1), Fraction(1, 8))
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(DegenerateInputError,
+                       match="companion point is not strictly inside"):
         densify(a, b, c, point(tw, 3, 3), point(tw, 1, 1), Fraction(1, 8))
     with pytest.raises(ScopeError):
         densify(a, b, c, d, point(tw, 10, 10), Fraction(1, 8))
