@@ -94,6 +94,7 @@ class CorpusEntry:
     holds and a violation message otherwise; it must decide with exact
     predicates only.  `sample_inputs(rng, tower)` draws one valid input
     tuple; `canonical_inputs(tower)` builds a fixed well-known one.
+    `compass_only` and `test_free` are read off the program text.
     """
 
     name: str
@@ -101,12 +102,18 @@ class CorpusEntry:
     postcondition: object
     sample_inputs: object
     canonical_inputs: object
-    compass_only: bool = False
-    test_free: bool = False
     expect_fail: bool = False
 
     def program(self) -> Program:
         return load_program(self.name)
+
+    @property
+    def compass_only(self) -> bool:
+        return is_compass_only(self.program())
+
+    @property
+    def test_free(self) -> bool:
+        return is_test_free(self.program())
 
 
 @dataclass(frozen=True)
@@ -354,13 +361,11 @@ CORPUS: tuple[CorpusEntry, ...] = (
     CorpusEntry(
         "midpoint",
         "Midpoint of a segment via the equal-circle chord.",
-        _post_midpoint, _sample_two_points, _canon_two_points,
-        test_free=True),
+        _post_midpoint, _sample_two_points, _canon_two_points),
     CorpusEntry(
         "perp_bisector",
         "Perpendicular bisector of a segment.",
-        _post_perp_bisector, _sample_two_points, _canon_two_points,
-        test_free=True),
+        _post_perp_bisector, _sample_two_points, _canon_two_points),
     CorpusEntry(
         "perp_from_point",
         "Perpendicular to a line through a point, on or off the line.",
@@ -383,29 +388,24 @@ CORPUS: tuple[CorpusEntry, ...] = (
     CorpusEntry(
         "circle_center",
         "Center of a circle from two chords' perpendicular bisectors.",
-        _post_circle_center, _sample_circle, _canon_circle,
-        test_free=True),
+        _post_circle_center, _sample_circle, _canon_circle),
     CorpusEntry(
         "point_reflection",
         "Compass-only reflection of a point through another.",
-        _post_point_reflection, _sample_two_points, _canon_two_points,
-        compass_only=True),
+        _post_point_reflection, _sample_two_points, _canon_two_points),
     CorpusEntry(
         "compass_midpoint",
         "Compass-only midpoint of a segment.",
-        _post_midpoint, _sample_two_points, _canon_two_points,
-        compass_only=True),
+        _post_midpoint, _sample_two_points, _canon_two_points),
     CorpusEntry(
         "compass_line_line",
         "Compass-only crossing of two lines given by point pairs.",
         _post_compass_line_line, _sample_two_crossing_segment_lines,
-        _canon_two_crossing_segment_lines,
-        compass_only=True),
+        _canon_two_crossing_segment_lines),
     CorpusEntry(
         "sqrt3",
         "Segment of squared length three times the base, with no tests.",
-        _post_sqrt3, _sample_two_points, _canon_two_points,
-        compass_only=True, test_free=True),
+        _post_sqrt3, _sample_two_points, _canon_two_points),
 )
 
 _BY_NAME = {e.name: e for e in CORPUS}
@@ -422,15 +422,6 @@ def entry(name: str) -> CorpusEntry:
     return _BY_NAME[name]
 
 
-def _check_declared_shape(e: CorpusEntry, program: Program):
-    if e.compass_only != is_compass_only(program):
-        raise ValueError(f"entry {e.name}: compass_only flag disagrees "
-                         "with the program text")
-    if e.test_free != is_test_free(program):
-        raise ValueError(f"entry {e.name}: test_free flag disagrees "
-                         "with the program text")
-
-
 def verify_entry(e: CorpusEntry,
                  input_samples: int = DEFAULT_INPUT_SAMPLES,
                  oracle_seeds: int = DEFAULT_ORACLE_SEEDS,
@@ -444,7 +435,6 @@ def verify_entry(e: CorpusEntry,
     violation; all failures are collected with their traces.
     """
     program = e.program()
-    _check_declared_shape(e, program)
     rng = random.Random(f"{base_seed}:{e.name}")
     failures = []
     trials = 0

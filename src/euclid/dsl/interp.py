@@ -130,19 +130,14 @@ class SamplingOracle:
     finds nothing.
     """
 
-    def __init__(self, seed: int = 0, tries_per_stage: int = 64,
-                 max_stage: int = 12):
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.tries_per_stage = tries_per_stage
-        self.max_stage = max_stage
         self._rng = random.Random(seed)
 
     def answer(self, region, state) -> Point | None:
         return sample_point(state.tower, region, self._rng,
                             avoid_points=state.points,
-                            avoid_curves=state.curves,
-                            tries_per_stage=self.tries_per_stage,
-                            max_stage=self.max_stage)
+                            avoid_curves=state.curves)
 
 
 class ReplayOracle:
@@ -267,14 +262,9 @@ class _Run:
             passing = []
             for cand in st.candidates:
                 obj = self.env[cand]
-                saved = self.env.get(st.name, _MISSING)
-                self.env[st.name] = obj
-                ok = self.eval_test(st.test, record=False)
-                if saved is _MISSING:
-                    del self.env[st.name]
-                else:
-                    self.env[st.name] = saved
-                if ok:
+                args = [obj if n == st.name else self.env[n]
+                        for n in st.test.args]
+                if decide(st.test.kind, args) != st.test.negated:
                     passing.append((cand, obj))
             if len(passing) != 1:
                 names = [c for c, _ in passing] or ["none"]
@@ -325,22 +315,14 @@ class _Run:
                        else "oracle-violation", f"{self.asking}: {problem}")
         return (answer,)
 
-    def eval_test(self, test: Test, record: bool = True) -> bool:
+    def eval_test(self, test: Test) -> bool:
         args = [self.env[n] for n in test.args]
         value = decide(test.kind, args) != test.negated
-        if record:
-            neg = "not " if test.negated else ""
-            self.trace.append(Step(
-                "test", (value, test.kind, test.negated), tuple(args),
-                label=f"{neg}{test.kind}({', '.join(test.args)}) -> {value}"))
+        neg = "not " if test.negated else ""
+        self.trace.append(Step(
+            "test", (value, test.kind, test.negated), tuple(args),
+            label=f"{neg}{test.kind}({', '.join(test.args)}) -> {value}"))
         return value
-
-
-class _Missing:
-    pass
-
-
-_MISSING = _Missing()
 
 _KIND_TYPES = {"point": Point, "line": Line, "circle": Circle}
 

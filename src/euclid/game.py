@@ -318,39 +318,22 @@ def sampling_bob(seed: int = 0) -> SamplingBob:
     return SamplingBob(seed)
 
 
-@dataclass(frozen=True)
-class CertificateDescriptor:
-    """A candidate dense closed superset excluding a target.
-
-    `contains_point` and `contains_curve` decide membership exactly on
-    tower objects; `enumerate_in_disk` returns a member point strictly
-    inside any given disk, or None when it fails.
-    """
-
-    name: str
-    contains_point: object
-    contains_curve: object
-    enumerate_in_disk: object
-
-    def contains(self, obj) -> bool:
-        if isinstance(obj, Point):
-            return self.contains_point(obj)
-        return self.contains_curve(obj)
-
-
-def rational_certificate() -> CertificateDescriptor:
+class RationalPlane:
     """All objects with rational data: points, lines, and circles.
 
-    Dense, closed under straightedge steps, but not under compass
-    crossings, whose coordinates can need a square root.
+    A candidate dense closed superset excluding a target: dense, closed
+    under straightedge steps, but not under compass crossings, whose
+    coordinates can need a square root.  `contains` decides membership
+    exactly on tower objects; `enumerate_in_disk` returns a member point
+    strictly inside a given disk, or None when it fails.
     """
-    def contains_point(p: Point) -> bool:
-        return p.height == 0
 
-    def contains_curve(c) -> bool:
-        return c.height == 0
+    name = "rational-plane"
 
-    def enumerate_in_disk(disk: Disk) -> Point | None:
+    def contains(self, obj) -> bool:
+        return obj.height == 0
+
+    def enumerate_in_disk(self, disk: Disk) -> Point | None:
         center = disk.center
         if center.height == 0:
             return center
@@ -363,8 +346,9 @@ def rational_certificate() -> CertificateDescriptor:
                 return p
         return None
 
-    return CertificateDescriptor("rational-plane", contains_point,
-                                 contains_curve, enumerate_in_disk)
+
+def rational_certificate() -> RationalPlane:
+    return RationalPlane()
 
 
 class CertificateBob:
@@ -376,7 +360,7 @@ class CertificateBob:
     is new to the position.
     """
 
-    def __init__(self, cert: CertificateDescriptor, seed: int = 0):
+    def __init__(self, cert: RationalPlane, seed: int = 0):
         self.cert = cert
         self.seed = seed
         self._rng = random.Random(seed)
@@ -403,7 +387,7 @@ class CertificateBob:
         return None
 
 
-def certificate_bob(cert: CertificateDescriptor, seed: int = 0) \
+def certificate_bob(cert: RationalPlane, seed: int = 0) \
         -> CertificateBob:
     return CertificateBob(cert, seed)
 
@@ -434,7 +418,7 @@ def _lattice_centers():
     return first + rest
 
 
-def check_certificate(cert: CertificateDescriptor, points, curves, target,
+def check_certificate(cert: RationalPlane, points, curves, target,
                       ops=STRAIGHTEDGE_OPS, seed: int = 0) -> CertificateCheck:
     """Probe the falsifiable consequences of a negative certificate.
 
@@ -448,11 +432,11 @@ def check_certificate(cert: CertificateDescriptor, points, curves, target,
     checked = 0
     for p in points:
         checked += 1
-        if not cert.contains_point(p):
+        if not cert.contains(p):
             return CertificateCheck(False, "input-not-member", p, checked)
     for c in curves:
         checked += 1
-        if not cert.contains_curve(c):
+        if not cert.contains(c):
             return CertificateCheck(False, "input-not-member", c, checked)
     checked += 1
     if cert.contains(target):
@@ -487,6 +471,6 @@ def check_certificate(cert: CertificateDescriptor, points, curves, target,
         disk = Disk(point(tower, cx, cy), small)
         member = cert.enumerate_in_disk(disk)
         if member is None or not disk.contains(member) \
-                or not cert.contains_point(member):
+                or not cert.contains(member):
             return CertificateCheck(False, "not-dense", disk, checked)
     return CertificateCheck(True, None, None, checked)

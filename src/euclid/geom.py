@@ -5,6 +5,10 @@ first nonzero of (a, b) normalized to 1; circles store center and
 squared radius.  `intersect` returns the (0, 1 or 2) intersection
 points sorted by (x, y); `intersects` answers the same question as a
 predicate without taking any square roots, so it never grows the tower.
+Both check and reduce a pair of curves once, in `_pair`, to a line and
+a curve: two lines meet by `_line_line`, and every other pair by the
+quadratic of a line and a circle, which `_line_circle` solves and
+`intersects` only reads the discriminant of.
 `Step` records one construction step in the traces of runs, closures
 and densification alike.
 """
@@ -247,12 +251,6 @@ def sign_vector(p: Point, curves) -> tuple[int, ...]:
     return tuple(c.side(p) for c in curves)
 
 
-def _sort_points(pts: list[Point]) -> list[Point]:
-    pts = list(pts)
-    pts.sort(key=lambda p: (p.x, p.y))
-    return pts
-
-
 # -- intersections -----------------------------------------------------------
 
 def intersect(u: Curve, v: Curve) -> list[Point]:
@@ -261,44 +259,42 @@ def intersect(u: Curve, v: Curve) -> list[Point]:
     Identical curves raise IdenticalCurvesError; disjoint curves give [].
     May extend the tower when the points need a fresh square root.
     """
-    if isinstance(u, Point) or isinstance(v, Point):
-        raise TypeError("intersect expects lines or circles, not points")
-    if u.tower is not v.tower:
-        raise SessionMismatchError("curves from different towers")
-    if isinstance(u, Line) and isinstance(v, Line):
-        return _line_line(u, v)
-    if isinstance(u, Line):
-        return _line_circle(u, v)
-    if isinstance(v, Line):
-        return _line_circle(v, u)
-    return _circle_circle(u, v)
+    l, c = _pair(u, v, "intersect")
+    if isinstance(c, Line):
+        return _line_line(l, c)
+    return [] if l is None else _line_circle(l, c)
 
 
 def intersects(u: Curve, v: Curve) -> bool:
     """Whether the curves share at least one point; never takes roots."""
+    l, c = _pair(u, v, "intersects")
+    if isinstance(c, Line):
+        return bool(l.a * c.b - c.a * l.b)
+    return l is not None and _quadratic(l, c)[5].sign() >= 0
+
+
+def _pair(u: Curve, v: Curve, what: str) -> tuple[Line | None, Curve]:
+    """Check two operands and reduce them to (line, curve), line first.
+
+    Two circles reduce to (radical line, u), or (None, u) when they are
+    concentric and so share no point.
+    """
     if isinstance(u, Point) or isinstance(v, Point):
-        raise TypeError("intersects expects lines or circles, not points")
+        raise TypeError(f"{what} expects lines or circles, not points")
     if u.tower is not v.tower:
         raise SessionMismatchError("curves from different towers")
-    if isinstance(u, Line) and isinstance(v, Line):
-        if u == v:
-            raise IdenticalCurvesError("identical lines")
-        return bool(u.a * v.b - v.a * u.b)
     if isinstance(u, Line):
-        return _quadratic_disc(u, v).sign() >= 0
+        if isinstance(v, Line) and u == v:
+            raise IdenticalCurvesError("identical lines")
+        return u, v
     if isinstance(v, Line):
-        return _quadratic_disc(v, u).sign() >= 0
+        return v, u
     if u == v:
         raise IdenticalCurvesError("identical circles")
-    rad = _radical_line(u, v)
-    if rad is None:
-        return False
-    return _quadratic_disc(rad, u).sign() >= 0
+    return _radical_line(u, v), u
 
 
 def _line_line(u: Line, v: Line) -> list[Point]:
-    if u == v:
-        raise IdenticalCurvesError("identical lines")
     det = u.a * v.b - v.a * u.b
     if not det:
         return []
@@ -307,32 +303,27 @@ def _line_line(u: Line, v: Line) -> list[Point]:
     return [Point(x, y)]
 
 
-def _param(l: Line) -> tuple[Point, Constructible, Constructible]:
-    """A point on l and a direction vector, from the normalized form."""
+def _quadratic(l: Line, c: Circle) -> tuple:
+    """l as p0 + t*(dx, dy) from its normalized form, and the quadratic
+    qa*t^2 + qb*t + qc whose roots are the meets with c.
+
+    Returns (p0, dx, dy, qa, qb, disc).
+    """
     tw = l.tower
     if l.a:
-        return Point(-l.c, tw.zero), -l.b, tw.one
-    return Point(tw.zero, -l.c), tw.one, tw.zero
-
-
-def _quadratic_disc(l: Line, c: Circle) -> Constructible:
-    p0, dx, dy = _param(l)
+        p0, dx, dy = Point(-l.c, tw.zero), -l.b, tw.one
+    else:
+        p0, dx, dy = Point(tw.zero, -l.c), tw.one, tw.zero
     ex = p0.x - c.center.x
     ey = p0.y - c.center.y
     qa = dx * dx + dy * dy
     qb = 2 * (dx * ex + dy * ey)
     qc = ex * ex + ey * ey - c.r2
-    return qb * qb - 4 * qa * qc
+    return p0, dx, dy, qa, qb, qb * qb - 4 * qa * qc
 
 
 def _line_circle(l: Line, c: Circle) -> list[Point]:
-    p0, dx, dy = _param(l)
-    ex = p0.x - c.center.x
-    ey = p0.y - c.center.y
-    qa = dx * dx + dy * dy
-    qb = 2 * (dx * ex + dy * ey)
-    qc = ex * ex + ey * ey - c.r2
-    disc = qb * qb - 4 * qa * qc
+    p0, dx, dy, qa, qb, disc = _quadratic(l, c)
     s = disc.sign()
     if s < 0:
         return []
@@ -343,7 +334,7 @@ def _line_circle(l: Line, c: Circle) -> list[Point]:
     out = []
     for t in ((-qb - root) / (2 * qa), (-qb + root) / (2 * qa)):
         out.append(Point(p0.x + t * dx, p0.y + t * dy))
-    return _sort_points(out)
+    return sorted(out, key=lambda p: (p.x, p.y))
 
 
 def _radical_line(u: Circle, v: Circle) -> Line | None:
@@ -354,15 +345,6 @@ def _radical_line(u: Circle, v: Circle) -> Line | None:
     c = (u.center.x * u.center.x + u.center.y * u.center.y - u.r2
          - v.center.x * v.center.x - v.center.y * v.center.y + v.r2)
     return Line(a, b, c)
-
-
-def _circle_circle(u: Circle, v: Circle) -> list[Point]:
-    if u == v:
-        raise IdenticalCurvesError("identical circles")
-    rad = _radical_line(u, v)
-    if rad is None:
-        return []
-    return _line_circle(rad, u)
 
 
 # -- rational projective maps ------------------------------------------------

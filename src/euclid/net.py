@@ -504,8 +504,14 @@ class RestrictedAlice:
     @staticmethod
     def _containing_triangle(candidates, center, r2):
         """The first candidate triangle whose open interior holds the
-        closed disk, with that interior as a cell, or None."""
-        for tri in combinations(candidates, 3):
+        closed disk, with that interior as a cell, or None.
+
+        Only triangles with the newest candidate as third corner are
+        tried: every triangle of older candidates was rejected before.
+        """
+        *older, newest = candidates
+        for a, b in combinations(older, 2):
+            tri = (a, b, newest)
             if orientation(*tri) == 0:
                 continue
             cell = triangle_cell(*tri)

@@ -23,6 +23,9 @@ OUTSIDE = 1
 POS = 1
 NEG = -1
 
+TRIES_PER_STAGE = 64    # grid draws per stage of sample_point
+MAX_STAGE = 12          # stages before sample_point gives up
+
 
 @dataclass(frozen=True)
 class Disk:
@@ -171,8 +174,7 @@ def _hint(region: Region) -> tuple[Fraction, Fraction]:
 
 
 def sample_point(tower, region: Region, rng: random.Random,
-                 avoid_points=(), avoid_curves=(),
-                 tries_per_stage: int = 64, max_stage: int = 12):
+                 avoid_points=(), avoid_curves=()):
     """A rational point of the region missing all avoid objects, or None.
 
     Stages widen the window and refine the dyadic grid around an anchor
@@ -183,12 +185,12 @@ def sample_point(tower, region: Region, rng: random.Random,
     hx, hy = _hint(region)
     avoid_points = list(avoid_points)
     avoid_curves = list(avoid_curves)
-    for stage in range(max_stage):
+    for stage in range(MAX_STAGE):
         k = stage + 2
         span = 1 << (stage // 2)
         denom = 1 << k
         cells = 2 * span * denom
-        for _ in range(tries_per_stage):
+        for _ in range(TRIES_PER_STAGE):
             qx = hx + Fraction(rng.randint(-cells, cells), denom)
             qy = hy + Fraction(rng.randint(-cells, cells), denom)
             p = point(tower, qx, qy)

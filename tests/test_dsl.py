@@ -337,7 +337,7 @@ def test_region_scan_exhausted(tw):
     # unit disks around (0,0) and (9,0) share no interior point
     with pytest.raises(RunAbort) as ei:
         run(prog, [point(tw, 0, 0), point(tw, 9, 0), point(tw, 1, 0)],
-            oracle=SamplingOracle(0, tries_per_stage=8, max_stage=5))
+            oracle=SamplingOracle(0))
     assert ei.value.reason == "region-scan-exhausted"
 
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from euclid.errors import (
     DegenerateInputError,
@@ -116,6 +117,66 @@ def test_intersects_never_grows_tower(tw):
     intersects(l, c1)
     intersects(l, Line.through(point(tw, 0, 0), point(tw, 1, 3)))
     assert tw.height == h0
+
+
+_half = st.integers(-6, 6).map(lambda n: Fraction(n, 2))
+_spot = st.tuples(_half, _half, st.booleans())      # x shifted by sqrt 2
+_curve = st.tuples(st.sampled_from(("line", "circle")), _spot, _spot) \
+    .filter(lambda spec: spec[1] != spec[2])
+
+
+def _build(tw, spec):
+    """A line through, or a circle centered at the first through the
+    second, of two half-integer points."""
+    kind, *spots = spec
+    root2 = tw.from_rational(2).sqrt()
+    p, q = (Point(tw.from_rational(x) + root2 if shifted
+                  else tw.from_rational(x), tw.from_rational(y))
+            for x, y, shifted in spots)
+    return Line.through(p, q) if kind == "line" else Circle.centered(p, q)
+
+
+def _spots(*xys):
+    return tuple((x, y, False) for x, y in xys)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_curve, _curve)
+@example(("line", *_spots((2, -1), (2, 5))),              # tangent line
+         ("circle", *_spots((0, 0), (2, 0))))
+@example(("circle", *_spots((0, 0), (2, 0))),             # internally tangent
+         ("circle", *_spots((1, 0), (2, 0))))
+@example(("circle", *_spots((0, 0), (1, 0))),             # concentric
+         ("circle", *_spots((0, 0), (2, 0))))
+@example(("line", *_spots((0, 0), (1, 1))),               # parallel
+         ("line", *_spots((0, 1), (1, 2))))
+@example(("circle", *_spots((0, 0), (1, 0))),             # disjoint
+         ("circle", *_spots((3, 0), (3, Fraction(1, 2)))))
+@example(("line", *_spots((0, 0), (1, 1))),               # identical
+         ("line", *_spots((2, 2), (3, 3))))
+def test_intersects_agrees_with_intersect(u_spec, v_spec):
+    tw = Tower()
+    u, v = _build(tw, u_spec), _build(tw, v_spec)
+    for g, h in ((u, u), (u, v)):
+        if g == h:
+            with pytest.raises(IdenticalCurvesError):
+                intersects(g, h)
+            with pytest.raises(IdenticalCurvesError):
+                intersect(g, h)
+    if u == v:
+        return
+    h0 = tw.height
+    meets = intersects(u, v)
+    assert tw.height == h0
+    pts = intersect(u, v)
+    assert meets == bool(pts)
+    assert len(pts) <= (1 if isinstance(u, Line) and isinstance(v, Line)
+                        else 2)
+    for p in pts:
+        assert u.contains(p) and v.contains(p)
+    keys = [(p.x, p.y) for p in pts]
+    assert keys == sorted(keys) and len(set(pts)) == len(pts)
+    assert intersect(v, u) == pts
 
 
 def test_intersect_rejects_points(tw):

@@ -26,7 +26,7 @@ from euclid.net import (
     restricted_alice,
     straightedge_only,
 )
-from euclid.regions import Disk, triangle_cell
+from euclid.regions import Disk, contains_closed_disk, triangle_cell
 from euclid.render import auto_viewport, render_svg
 
 
@@ -236,6 +236,31 @@ def test_restricted_alice_translates_disk_requests():
                for m in record.moves)
     assert any((dist2(p, center) - r2).sign() < 0
                for p in record.position.points)
+
+
+def test_restricted_alice_tries_each_triangle_once(monkeypatch):
+    from euclid import net
+    tried = []
+
+    def recorded(cell, q, rho2):
+        tried.append(frozenset(curve for curve, _ in cell.conds))
+        return contains_closed_disk(cell, q, rho2)
+
+    monkeypatch.setattr(net, "contains_closed_disk", recorded)
+    tw = Tower()
+    p0, p1 = point(tw, 0, 0), point(tw, 1, 0)
+    center = point(tw, Fraction(1, 2), Fraction(1, 4))
+    r2 = tw.from_rational(Fraction(1, 16))
+
+    def inner(position, moves):
+        if moves:
+            return STOP
+        return RPointInDisk(Disk(center, r2))
+
+    play([p0, p1], [], point(tw, 99, 99), RestrictedAlice(inner),
+         SamplingBob(1), max_moves=1500)
+    assert tried
+    assert len(set(tried)) == len(tried)
 
 
 def test_restricted_alice_passes_through_disk_free_strategies():
