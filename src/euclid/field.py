@@ -121,6 +121,11 @@ def _half(u: Terms) -> Terms:
     return _norm(u[0], 2 * u[1])
 
 
+def _scale(u: Terms, n: int) -> Terms:
+    """n*u for an integer n."""
+    return _norm({k: n * c for k, c in u[0].items()}, u[1])
+
+
 class Tower:
     """A session of quadratic extensions; all elements are tied to one.
 
@@ -174,7 +179,8 @@ class Tower:
 
     def radicand(self, i: int) -> "Constructible":
         """The i-th radicand (1-based) as an element."""
-        return self._make(self._radicands[i - 1])
+        # it passed the coefficient guard before `_sqrt` stored it
+        return Constructible(self, *self._radicands[i - 1])
 
     def radicands(self) -> list["Constructible"]:
         return [self.radicand(i) for i in range(1, len(self._radicands) + 1)]
@@ -498,7 +504,8 @@ class Constructible:
         return self.tower._make(_sub_t(o._terms, self._terms))
 
     def __neg__(self):
-        return self.tower._make(_neg_t(self._terms))
+        # same magnitudes, so nothing for the coefficient guard to catch
+        return Constructible(self.tower, *_neg_t(self._terms))
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -664,7 +671,7 @@ class Constructible:
                     factors.append(f"sqrt(r{i})")
                 else:
                     factors.append(
-                        "sqrt(" + tw._make(tw._radicands[i - 1])._expr(depth + 1) + ")")
+                        "sqrt(" + tw.radicand(i)._expr(depth + 1) + ")")
             parts.append("*".join(factors))
         return " + ".join(parts).replace("+ -", "- ")
 

@@ -8,7 +8,11 @@ predicate without taking any square roots, so it never grows the tower.
 Both check and reduce a pair of curves once, in `_pair`, to a line and
 a curve: two lines meet by `_line_line`, and every other pair by the
 quadratic of a line and a circle, which `_line_circle` solves and
-`intersects` only reads the discriminant of.
+`intersects` only reads the discriminant of.  These kernels compute on
+the (numerators, denominator) term pairs of `field` with one inverse
+per call, and make field elements, each checked by the coefficient
+guard, only for the coordinates and line coefficients they return and
+for the discriminant they take the root of.
 `Step` records one construction step in the traces of runs, closures
 and densification alike.
 """
@@ -24,7 +28,16 @@ from .errors import (
     RangeError,
     SessionMismatchError,
 )
-from .field import Constructible, Tower
+from .field import (
+    Constructible,
+    Terms,
+    Tower,
+    _add_t,
+    _half,
+    _neg_t,
+    _scale,
+    _sub_t,
+)
 
 
 def _coerce(tw: Tower, v) -> Constructible:
@@ -74,26 +87,30 @@ class Line:
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: Constructible, b: Constructible, c: Constructible):
+        tw = a.tower
+        if b.tower is not tw or c.tower is not tw:
+            raise SessionMismatchError("line coefficients from different towers")
         if a:
-            inv = 1 / a
-            a, b, c = a.tower.one, b * inv, c * inv
+            inv = tw._inv_t(a._terms)
+            a, b = tw.one, tw._make(tw._mul_t(b._terms, inv))
         elif b:
-            inv = 1 / b
-            a, b, c = a.tower.zero, a.tower.one, c * inv
+            inv = tw._inv_t(b._terms)
+            a, b = tw.zero, tw.one
         else:
             raise DegenerateInputError("line with zero normal vector")
         self.a = a
         self.b = b
-        self.c = c
+        self.c = tw._make(tw._mul_t(c._terms, inv))
 
     @classmethod
     def through(cls, p: Point, q: Point) -> "Line":
+        tw = _tower_of(p, q)
         if p == q:
             raise DegenerateInputError("line through two identical points")
-        a = q.y - p.y
-        b = p.x - q.x
-        c = -(a * p.x + b * p.y)
-        return cls(a, b, c)
+        a = _sub_t(q.y._terms, p.y._terms)
+        b = _sub_t(p.x._terms, q.x._terms)
+        c = _neg_t(_add_t(tw._mul_t(a, p.x._terms), tw._mul_t(b, p.y._terms)))
+        return cls(tw._make(a), tw._make(b), tw._make(c))
 
     @property
     def tower(self) -> Tower:
@@ -220,10 +237,22 @@ class Step:
 
 # -- scalar helpers ----------------------------------------------------------
 
+def _tower_of(p: Point, q: Point) -> Tower:
+    tw = p.tower
+    if q.tower is not tw:
+        raise SessionMismatchError("points from different towers")
+    return tw
+
+
 def dist2(p: Point, q: Point) -> Constructible:
-    dx = p.x - q.x
-    dy = p.y - q.y
-    return dx * dx + dy * dy
+    tw = _tower_of(p, q)
+    return tw._make(_norm2(tw, _sub_t(p.x._terms, q.x._terms),
+                           _sub_t(p.y._terms, q.y._terms)))
+
+
+def _norm2(tw: Tower, x: Terms, y: Terms) -> Terms:
+    """x*x + y*y on term pairs."""
+    return _add_t(tw._mul_t(x, x), tw._mul_t(y, y))
 
 
 def dist_compare(p: Point, q: Point, r: Point, s: Point) -> int:
@@ -269,8 +298,8 @@ def intersects(u: Curve, v: Curve) -> bool:
     """Whether the curves share at least one point; never takes roots."""
     l, c = _pair(u, v, "intersects")
     if isinstance(c, Line):
-        return bool(l.a * c.b - c.a * l.b)
-    return l is not None and _quadratic(l, c)[5].sign() >= 0
+        return bool(_det(l, c)[0])
+    return l is not None and l.tower._sign(_quadratic(l, c)[-1][0]) >= 0
 
 
 def _pair(u: Curve, v: Curve, what: str) -> tuple[Line | None, Curve]:
@@ -294,57 +323,86 @@ def _pair(u: Curve, v: Curve, what: str) -> tuple[Line | None, Curve]:
     return _radical_line(u, v), u
 
 
+def _det(u: Line, v: Line) -> Terms:
+    mul = u.tower._mul_t
+    return _sub_t(mul(u.a._terms, v.b._terms), mul(v.a._terms, u.b._terms))
+
+
 def _line_line(u: Line, v: Line) -> list[Point]:
-    det = u.a * v.b - v.a * u.b
-    if not det:
+    det = _det(u, v)
+    if not det[0]:
         return []
-    x = (u.b * v.c - v.b * u.c) / det
-    y = (v.a * u.c - u.a * v.c) / det
-    return [Point(x, y)]
+    tw = u.tower
+    mul = tw._mul_t
+    inv = tw._inv_t(det)
+    ua, ub, uc = u.a._terms, u.b._terms, u.c._terms
+    va, vb, vc = v.a._terms, v.b._terms, v.c._terms
+    x = mul(_sub_t(mul(ub, vc), mul(vb, uc)), inv)
+    y = mul(_sub_t(mul(va, uc), mul(ua, vc)), inv)
+    return [Point(tw._make(x), tw._make(y))]
+
+
+_ZERO: Terms = ({}, 1)
+_ONE: Terms = ({0: 1}, 1)
 
 
 def _quadratic(l: Line, c: Circle) -> tuple:
     """l as p0 + t*(dx, dy) from its normalized form, and the quadratic
-    qa*t^2 + qb*t + qc whose roots are the meets with c.
+    qa*t^2 + 2*hb*t + qc whose roots are the meets with c, as term pairs.
 
-    Returns (p0, dx, dy, qa, qb, disc).
+    Returns (x0, y0, dx, dy, qa, hb, disc), where disc is the
+    discriminant (2*hb)^2 - 4*qa*qc.
     """
-    tw = l.tower
+    mul = l.tower._mul_t
     if l.a:
-        p0, dx, dy = Point(-l.c, tw.zero), -l.b, tw.one
+        x0, y0, dx, dy = _neg_t(l.c._terms), _ZERO, _neg_t(l.b._terms), _ONE
     else:
-        p0, dx, dy = Point(tw.zero, -l.c), tw.one, tw.zero
-    ex = p0.x - c.center.x
-    ey = p0.y - c.center.y
-    qa = dx * dx + dy * dy
-    qb = 2 * (dx * ex + dy * ey)
-    qc = ex * ex + ey * ey - c.r2
-    return p0, dx, dy, qa, qb, qb * qb - 4 * qa * qc
+        x0, y0, dx, dy = _ZERO, _neg_t(l.c._terms), _ONE, _ZERO
+    ex = _sub_t(x0, c.center.x._terms)
+    ey = _sub_t(y0, c.center.y._terms)
+    qa = _add_t(mul(dx, dx), mul(dy, dy))
+    hb = _add_t(mul(dx, ex), mul(dy, ey))
+    qc = _sub_t(_add_t(mul(ex, ex), mul(ey, ey)), c.r2._terms)
+    disc = _scale(_sub_t(mul(hb, hb), mul(qa, qc)), 4)
+    return x0, y0, dx, dy, qa, hb, disc
 
 
 def _line_circle(l: Line, c: Circle) -> list[Point]:
-    p0, dx, dy, qa, qb, disc = _quadratic(l, c)
-    s = disc.sign()
+    x0, y0, dx, dy, qa, hb, disc = _quadratic(l, c)
+    tw = l.tower
+    s = tw._sign(disc[0])
     if s < 0:
         return []
+    mul = tw._mul_t
+    inv = tw._inv_t(qa)
+    mid = _neg_t(mul(hb, inv))          # the roots are mid -+ w
     if s == 0:
-        t = -qb / (2 * qa)
-        return [Point(p0.x + t * dx, p0.y + t * dy)]
-    root = disc.sqrt()
-    out = []
-    for t in ((-qb - root) / (2 * qa), (-qb + root) / (2 * qa)):
-        out.append(Point(p0.x + t * dx, p0.y + t * dy))
-    return sorted(out, key=lambda p: (p.x, p.y))
+        ts = [mid]
+    else:
+        w = mul(tw._make(disc).sqrt()._terms, _half(inv))
+        ts = [_sub_t(mid, w), _add_t(mid, w)]
+    out = [Point(tw._make(_add_t(x0, mul(t, dx))),
+                 tw._make(_add_t(y0, mul(t, dy)))) for t in ts]
+    # w > 0 since qa > 0, so t grows along `ts`; dy >= 0, and dy = 1
+    # where dx = 0, so the points come sorted by (x, y) unless dx < 0
+    if tw._sign(dx[0]) < 0:
+        out.reverse()
+    return out
 
 
 def _radical_line(u: Circle, v: Circle) -> Line | None:
-    a = 2 * (v.center.x - u.center.x)
-    b = 2 * (v.center.y - u.center.y)
-    if not a and not b:
+    """The line through the meets of two circles: their equations'
+    difference, halved, which `Line` normalizes to the same line."""
+    tw = u.tower
+    ux, uy = u.center.x._terms, u.center.y._terms
+    vx, vy = v.center.x._terms, v.center.y._terms
+    a = _sub_t(vx, ux)
+    b = _sub_t(vy, uy)
+    if not a[0] and not b[0]:
         return None
-    c = (u.center.x * u.center.x + u.center.y * u.center.y - u.r2
-         - v.center.x * v.center.x - v.center.y * v.center.y + v.r2)
-    return Line(a, b, c)
+    c = _half(_sub_t(_sub_t(_norm2(tw, ux, uy), u.r2._terms),
+                     _sub_t(_norm2(tw, vx, vy), v.r2._terms)))
+    return Line(tw._make(a), tw._make(b), tw._make(c))
 
 
 # -- rational projective maps ------------------------------------------------
@@ -444,17 +502,3 @@ class ProjectiveMap:
 
     def __repr__(self):
         return f"ProjectiveMap({self.m!r})"
-
-
-def apply_projective(t: ProjectiveMap, obj):
-    """Image of a point or a line under a projective map."""
-    if isinstance(obj, Point):
-        return t.apply_point(obj)
-    if isinstance(obj, Line):
-        return t.apply_line(obj)
-    raise TypeError(f"cannot transport {type(obj).__name__} objects")
-
-
-def preserves_circle(t: ProjectiveMap, c: Circle) -> bool:
-    """Whether the map sends the circle onto itself as a point set."""
-    return t.preserves_circle(c)

@@ -19,8 +19,7 @@ from euclid.game import (ALL_OPS, AliceWins, CertificateBob, Disk, RLine,
                          RPointInDisk, Timeout, certificate_bob,
                          check_certificate, play, rational_certificate,
                          sampling_bob, scripted_alice)
-from euclid.geom import (Circle, Line, Point, apply_projective, dist2,
-                         intersect, point, preserves_circle)
+from euclid.geom import Circle, Point, dist2, intersect, point
 from euclid.net import densify, grid_gaps, replay_trace, straightedge_only
 from euclid.replay import GAP_MAP, transport
 
@@ -278,9 +277,9 @@ def test_projective_transport_locates_a_breakpoint():
         start = time.monotonic()
         t = Tower()
         unit = Circle(point(t, 0, 0), t.one)
-        assert preserves_circle(GAP_MAP, unit)
+        assert GAP_MAP.preserves_circle(unit)
         origin = point(t, 0, 0)
-        moved = apply_projective(GAP_MAP, origin)
+        moved = GAP_MAP.apply_point(origin)
         assert moved == point(t, Fraction(3, 5), 0)
         assert moved != origin
 

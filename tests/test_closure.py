@@ -2,6 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from euclid.closure import (
     Budget,
@@ -178,3 +179,46 @@ def test_midpoint_runs_quickly(tw):
     elapsed = time.monotonic() - start
     assert res.derivable and res.rounds == 2
     assert elapsed < 30.0
+
+
+# OEIS A333944: from two points, drawing every line through two known
+# points and every circle centered at one through another, then adding
+# every meet, gives 2, 6, 203 points.  The circles go in as given curves,
+# since the closure's own compass takes any known distance as radius.
+
+def _a333944(p, q, rounds=2):
+    pts, counts = [p, q], [2]
+    for _ in range(rounds):
+        circles = [Circle.centered(o, r) for o in pts for r in pts if o != r]
+        pts = expand_once(pts, circles, ops={"line", "intersect"}).points
+        counts.append(len(pts))
+    return counts
+
+
+@pytest.mark.parametrize("seeds", [
+    ((0, 0), (1, 0)),
+    ((Fraction(1, 3), -2), (5, Fraction(7, 2))),
+    ((0, 0), (1, "sqrt(2)")),
+    (("sqrt(3)", 1), (0, "sqrt(5)")),
+])
+def test_two_point_closure_counts_match_a333944(tw, seeds):
+    p, q = (Point(*(tw.parse(str(v)) for v in xy)) for xy in seeds)
+    assert _a333944(p, q) == [2, 6, 203]
+
+
+_coord = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(_coord, _coord, _coord, _coord, st.sampled_from((0, 2, 3, 5)),
+       st.integers(0, 3))
+def test_two_point_closure_count_is_203_from_any_seed_pair(x1, y1, x2, y2,
+                                                           radicand, slot):
+    # one of the four coordinates may carry sqrt(radicand)
+    tw = Tower()
+    xs = [tw.from_rational(v) for v in (x1, y1, x2, y2)]
+    if radicand:
+        xs[slot] += tw.from_rational(radicand).sqrt()
+    p, q = Point(xs[0], xs[1]), Point(xs[2], xs[3])
+    assume(p != q)
+    assert _a333944(p, q)[-1] == 203

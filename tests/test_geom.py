@@ -120,24 +120,30 @@ def test_intersects_never_grows_tower(tw):
 
 
 _half = st.integers(-6, 6).map(lambda n: Fraction(n, 2))
-_spot = st.tuples(_half, _half, st.booleans())      # x shifted by sqrt 2
+_spot = st.tuples(_half, _half, st.integers(0, 4))   # x shifted by _nested
 _curve = st.tuples(st.sampled_from(("line", "circle")), _spot, _spot) \
     .filter(lambda spec: spec[1] != spec[2])
 
 
+def _nested(tw, h):
+    """s_h with s_0 = 0 and s_h = sqrt(2 + s_(h-1)), an element of height h."""
+    s = tw.zero
+    for _ in range(h):
+        s = (s + 2).sqrt()
+    return s
+
+
 def _build(tw, spec):
     """A line through, or a circle centered at the first through the
-    second, of two half-integer points."""
+    second, of two half-integer points, each with x shifted by s_h."""
     kind, *spots = spec
-    root2 = tw.from_rational(2).sqrt()
-    p, q = (Point(tw.from_rational(x) + root2 if shifted
-                  else tw.from_rational(x), tw.from_rational(y))
-            for x, y, shifted in spots)
+    p, q = (Point(tw.from_rational(x) + _nested(tw, h), tw.from_rational(y))
+            for x, y, h in spots)
     return Line.through(p, q) if kind == "line" else Circle.centered(p, q)
 
 
 def _spots(*xys):
-    return tuple((x, y, False) for x, y in xys)
+    return tuple((x, y, 0) for x, y in xys)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
@@ -179,6 +185,84 @@ def test_intersects_agrees_with_intersect(u_spec, v_spec):
     assert intersect(v, u) == pts
 
 
+# The intersection formulas written with the field's operators: the
+# reference for the term-pair kernels in `geom`.
+
+def _ref_line_line(u, v):
+    det = u.a * v.b - v.a * u.b
+    if not det:
+        return []
+    x = (u.b * v.c - v.b * u.c) / det
+    y = (v.a * u.c - u.a * v.c) / det
+    return [Point(x, y)]
+
+
+def _ref_line_circle(l, c):
+    tw = l.tower
+    if l.a:
+        p0, dx, dy = Point(-l.c, tw.zero), -l.b, tw.one
+    else:
+        p0, dx, dy = Point(tw.zero, -l.c), tw.one, tw.zero
+    ex = p0.x - c.center.x
+    ey = p0.y - c.center.y
+    qa = dx * dx + dy * dy
+    qb = 2 * (dx * ex + dy * ey)
+    qc = ex * ex + ey * ey - c.r2
+    disc = qb * qb - 4 * qa * qc
+    s = disc.sign()
+    if s < 0:
+        return []
+    if s == 0:
+        t = -qb / (2 * qa)
+        return [Point(p0.x + t * dx, p0.y + t * dy)]
+    root = disc.sqrt()
+    out = []
+    for t in ((-qb - root) / (2 * qa), (-qb + root) / (2 * qa)):
+        out.append(Point(p0.x + t * dx, p0.y + t * dy))
+    return sorted(out, key=lambda p: (p.x, p.y))
+
+
+def _ref_radical_line(u, v):
+    a = 2 * (v.center.x - u.center.x)
+    b = 2 * (v.center.y - u.center.y)
+    if not a and not b:
+        return None
+    c = (u.center.x * u.center.x + u.center.y * u.center.y - u.r2
+         - v.center.x * v.center.x - v.center.y * v.center.y + v.r2)
+    n = a if a else b
+    return Line(a / n, b / n, c / n)
+
+
+def _ref_intersect(u, v):
+    if isinstance(u, Line):
+        return (_ref_line_line(u, v) if isinstance(v, Line)
+                else _ref_line_circle(u, v))
+    if isinstance(v, Line):
+        return _ref_line_circle(v, u)
+    l = _ref_radical_line(u, v)
+    return [] if l is None else _ref_line_circle(l, u)
+
+
+def _terms(p):
+    return p.x._terms, p.y._terms
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_curve, _curve)
+def test_kernels_match_operator_reference(u_spec, v_spec):
+    # one tower per side: the reference must adjoin the same radicands
+    # in the same order, and give the same elements in the same order
+    mine, ref = Tower(), Tower()
+    u, v = _build(mine, u_spec), _build(mine, v_spec)
+    ru, rv = _build(ref, u_spec), _build(ref, v_spec)
+    if u == v:
+        return
+    for g, h, rg, rh in ((u, v, ru, rv), (v, u, rv, ru)):
+        assert [_terms(p) for p in intersect(g, h)] == \
+            [_terms(p) for p in _ref_intersect(rg, rh)]
+        assert mine._radicands == ref._radicands
+
+
 def test_intersect_rejects_points(tw):
     l = Line.through(point(tw, 0, 0), point(tw, 1, 0))
     with pytest.raises(TypeError):
@@ -195,6 +279,12 @@ def test_session_mismatch():
         intersect(l1, l2)
     with pytest.raises(SessionMismatchError):
         Point(t1.from_rational(0), t2.from_rational(0))
+    with pytest.raises(SessionMismatchError):
+        Line.through(point(t1, 0, 0), point(t2, 0, 0))
+    with pytest.raises(SessionMismatchError):
+        dist2(point(t1, 0, 0), point(t2, 1, 0))
+    with pytest.raises(SessionMismatchError):
+        Line(t1.one, t2.one, t1.zero)
 
 
 def test_orientation_between_distcompare(tw):

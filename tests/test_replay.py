@@ -1,20 +1,10 @@
 from fractions import Fraction
 
-import pytest
-
 from euclid import corpus
 from euclid.dsl.interp import SamplingOracle, run
 from euclid.dsl.parser import parse_program
 from euclid.field import Tower
-from euclid.geom import (
-    Circle,
-    Line,
-    Point,
-    ProjectiveMap,
-    apply_projective,
-    point,
-    preserves_circle,
-)
+from euclid.geom import Circle, Line, ProjectiveMap, point
 from euclid.replay import GAP_MAP, transport
 
 
@@ -24,8 +14,8 @@ def unit_circle(tower) -> Circle:
 
 def test_gap_map_fixes_unit_circle_but_moves_center():
     tw = Tower()
-    assert preserves_circle(GAP_MAP, unit_circle(tw))
-    image = apply_projective(GAP_MAP, point(tw, 0, 0))
+    assert GAP_MAP.preserves_circle(unit_circle(tw))
+    image = GAP_MAP.apply_point(point(tw, 0, 0))
     assert image == point(tw, Fraction(3, 5), 0)
     assert image != point(tw, 0, 0)
 
@@ -35,18 +25,16 @@ def test_gap_map_keeps_circle_points_on_the_circle():
     k = unit_circle(tw)
     for p in (point(tw, 1, 0), point(tw, 0, 1), point(tw, -1, 0),
               point(tw, Fraction(3, 5), Fraction(4, 5))):
-        assert k.contains(apply_projective(GAP_MAP, p))
+        assert k.contains(GAP_MAP.apply_point(p))
 
 
 def test_apply_projective_on_lines_preserves_incidence():
     tw = Tower()
     p, q = point(tw, 2, 3), point(tw, -1, 5)
     l = Line.through(p, q)
-    image = apply_projective(GAP_MAP, l)
-    assert image.contains(apply_projective(GAP_MAP, p))
-    assert image.contains(apply_projective(GAP_MAP, q))
-    with pytest.raises(TypeError):
-        apply_projective(GAP_MAP, unit_circle(tw))
+    image = GAP_MAP.apply_line(l)
+    assert image.contains(GAP_MAP.apply_point(p))
+    assert image.contains(GAP_MAP.apply_point(q))
 
 
 EVERY_TEST = """
