@@ -11,14 +11,16 @@ denominator of every term, and the pair is kept in lowest terms.  An
 element's height is the number of radicands it transitively depends on,
 i.e. the length of the smallest sub-tower containing it.
 
-Canonicity invariant: a radicand is appended only after the square-root
-search has certified that its root lies outside the whole field built so
-far.  The field then has degree 2**n over Q and the radical products form
-a basis, so each element has exactly one term map.  When the search runs
-out of `sqrt_search_budget` it cannot certify that, and `sqrt` raises
-ResourceLimitError instead of extending the tower.  Equality and hashing
-are therefore structural: two elements of one tower are equal exactly
-when their numerator maps and denominators are.
+Canonicity invariant: `sqrt` searches the field built so far for the
+root first, and appends a radicand only when that search has certified
+that the root lies outside it.  The field then has degree 2**n over Q
+and the radical products form a basis, so each element has exactly one
+term map.  The search is the denesting descent at the value's own top
+radicand, then one division branch per higher radicand, cheapest first.
+When it runs out of `sqrt_search_budget` it cannot certify absence, and
+`sqrt` raises ResourceLimitError instead of extending the tower.
+Equality and hashing are therefore structural: two elements of one
+tower are equal exactly when their numerator maps and denominators are.
 
 All predicates (sign, equality, comparisons) are exact.  Signs are read
 from certified integer enclosures L <= x * 2**p <= H: every radicand is
@@ -343,18 +345,27 @@ class Tower:
     # -- square roots --------------------------------------------------------
 
     def _try_sqrt_t(self, t: Terms, m: int, budget: list[int]) -> Terms | None:
-        """Square root of `t` within Q(sqrt r_1 .. sqrt r_m), or None.
+        """Nonnegative square root of `t` in Q(sqrt r_1 .. sqrt r_m), or None.
 
         Any in-field root has the shape u * prod(sqrt(r_i) for i in S) with
         u below min(S); since squaring kills the sqrt(r_i) factors, the top
-        index of the input is always below max(S).  So division branches are
-        only needed for indices above the input's top index, and below that
-        the classic a + b*sqrt(s) descent is complete.
+        index h of the input is always below max(S).  So division branches
+        are only needed for indices j above h, and below that the classic
+        a + b*sqrt(r_h) descent is complete.
+
+        The search runs the descent at h first, then divides by r_j for
+        j = h+1 .. m upward: branch j searches the subfield below r_j,
+        at most half the size of branch j+1's, so the cheapest subtree
+        comes first.  The order cannot change the result: the field holds
+        at most one positive root of `t`, and every return path is
+        sign-normalized.
         """
         budget[0] -= 1
         if budget[0] < 0:
             # an uncertified radicand would break canonicity
-            raise ResourceLimitError("square-root search budget exhausted")
+            raise ResourceLimitError(
+                "square-root search budget exhausted "
+                f"({self.sqrt_search_budget} steps)")
         num, den = t
         if not num:
             return t
@@ -367,13 +378,20 @@ class Tower:
                 if rn * rn == q and rd * rd == den:
                     return {0: rn}, rd
             # fall through: q may still be a square times a radicand product
-        for j in range(m, h, -1):
+        else:
+            w = self._descend_sqrt_t(t, h, budget)
+            if w is not None:
+                return w
+        for j in range(h + 1, m + 1):
             z = self._mul_t(t, self._rad_inv[j - 1])
             u = self._try_sqrt_t(z, j - 1, budget)
             if u is not None:
                 return _attach(u, j)
-        if h == 0:
-            return None
+        return None
+
+    def _descend_sqrt_t(self, t: Terms, h: int, budget: list[int]) -> Terms | None:
+        """Positive root a' + b'*sqrt(r_h) of `t` with a', b' below r_h, or
+        None; h is the top index of `t`."""
         a, b = _split(t, h)
         s = self._radicands[h - 1]
         ab2 = _sub_t(self._mul_t(a, a), self._mul_t(self._mul_t(b, b), s))

@@ -373,10 +373,7 @@ class CertificateBob:
                              avoid_curves=position.curves)
             if q is None:
                 return None
-            rho2 = inscribe_disk(region, q)
-            if rho2 is None:
-                continue
-            p = self.cert.enumerate_in_disk(Disk(q, rho2))
+            p = self.cert.enumerate_in_disk(Disk(q, inscribe_disk(region, q)))
             if p is None:
                 continue
             if position.contains(p):

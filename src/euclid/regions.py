@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, ResourceLimitError
 from .geom import Circle, Line, Point, dist2, point
 
 INSIDE = -1
@@ -141,11 +141,11 @@ INSCRIBE_HALVINGS = 200
 
 
 def inscribe_disk(region: Region, q: Point):
-    """A positive rational rho2 whose closed disk around q fits, or None.
+    """A positive rational rho2 whose closed disk around q fits.
 
     q must lie strictly inside the region; the squared radius starts at 1
-    and halves, at most INSCRIBE_HALVINGS times, until the exact fit test
-    passes.
+    and halves until the exact fit test passes.  Raises
+    ResourceLimitError after INSCRIBE_HALVINGS halvings.
     """
     rho2 = q.tower.from_rational(1)
     half = q.tower.from_rational(Fraction(1, 2))
@@ -153,7 +153,9 @@ def inscribe_disk(region: Region, q: Point):
         if contains_closed_disk(region, q, rho2):
             return rho2
         rho2 = rho2 * half
-    return None
+    raise ResourceLimitError(
+        f"no disk around q fits after INSCRIBE_HALVINGS={INSCRIBE_HALVINGS} "
+        "halvings")
 
 
 def _approx_mid(x, k: int) -> Fraction:

@@ -181,6 +181,23 @@ def test_midpoint_runs_quickly(tw):
     assert elapsed < 30.0
 
 
+def test_round_two_closure_sqrt_search_steps(tw, monkeypatch):
+    # the step count is exact and box-independent; the divisions-first
+    # search order took 4,938 steps here, cheapest-first takes 1,454
+    steps = [0]
+    search = Tower._try_sqrt_t
+
+    def counted(self, *args):
+        steps[0] += 1
+        return search(self, *args)
+
+    monkeypatch.setattr(Tower, "_try_sqrt_t", counted)
+    res = closure([point(tw, 0, 0), point(tw, 1, 2)],
+                  budget=Budget(max_rounds=2))
+    assert (len(res.points), len(res.curves)) == (391, 34)
+    assert steps[0] <= 1500
+
+
 # OEIS A333944: from two points, drawing every line through two known
 # points and every circle centered at one through another, then adding
 # every meet, gives 2, 6, 203 points.  The circles go in as given curves,

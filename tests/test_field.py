@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from euclid.errors import (
     NegativeRadicandError,
@@ -12,7 +12,17 @@ from euclid.errors import (
     ResourceLimitError,
     SessionMismatchError,
 )
-from euclid.field import Tower
+from euclid.field import (
+    Tower,
+    _add_t,
+    _attach,
+    _half,
+    _neg_t,
+    _norm,
+    _split,
+    _sub_t,
+    _top,
+)
 
 
 def test_rational_basics():
@@ -290,11 +300,113 @@ def test_sqrt_budget_exhaustion_raises_instead_of_extending():
         (5 + 2 * t.from_rational(6).sqrt()).sqrt()
     assert t.height == 1
     with pytest.raises(ResourceLimitError,
-                       match="square-root search budget exhausted"):
+                       match="square-root search budget exhausted") as ei:
         (5 + 2 * t.from_rational(6).sqrt()).try_sqrt_in_field()
+    assert "(3 steps)" in str(ei.value)
     assert t.height == 1
     t.from_rational(2).sqrt()
     assert t.height == 2
+
+
+def test_sqrt_search_tries_the_cheapest_branch_first():
+    # roots in the input's own subfield, or under a low radicand, are
+    # found before any division by a higher radicand is searched
+    t = Tower()
+    r2 = t.from_rational(2).sqrt()
+    for p in (3, 5, 7, 11, 13):
+        t.from_rational(p).sqrt()
+    t.sqrt_search_budget = 8
+    assert t.from_rational(8).sqrt() == 2 * r2
+    assert (3 + 2 * r2).sqrt() == 1 + r2
+    assert t.height == 6
+
+
+def _ref_try_sqrt_t(tw, t, m, budget):
+    """The same search with the divisions first, from r_m down, and the
+    descent at the input's top index last.  Any order must return the
+    same positive root."""
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise ResourceLimitError("square-root search budget exhausted")
+    num, den = t
+    if not num:
+        return t
+    h = _top(num)
+    if h == 0:
+        q = num[0]
+        if q > 0:
+            rn = math.isqrt(q)
+            rd = math.isqrt(den)
+            if rn * rn == q and rd * rd == den:
+                return {0: rn}, rd
+    for j in range(m, h, -1):
+        z = tw._mul_t(t, tw._rad_inv[j - 1])
+        u = _ref_try_sqrt_t(tw, z, j - 1, budget)
+        if u is not None:
+            return _attach(u, j)
+    if h == 0:
+        return None
+    a, b = _split(t, h)
+    s = tw._radicands[h - 1]
+    ab2 = _sub_t(tw._mul_t(a, a), tw._mul_t(tw._mul_t(b, b), s))
+    n = _ref_try_sqrt_t(tw, ab2, h - 1, budget)
+    if n is None:
+        return None
+    for nn in (n, _neg_t(n)):
+        u = _ref_try_sqrt_t(tw, _half(_add_t(a, nn)), h - 1, budget)
+        if u is not None and u[0]:
+            v = tw._mul_t(b, _half(tw._inv_t(u)))
+            w = _add_t(u, _attach(v, h))
+            if tw._mul_t(w, w) == t:
+                if tw._sign(w[0]) < 0:
+                    w = _neg_t(w)
+                return w
+    return None
+
+
+# (p, c, i): the next radicand is p + c*pool[i], a prime shifted by an
+# earlier root, so towers mix independent and nested radicands
+_tower_spec = st.lists(
+    st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(-2, 2),
+              st.integers(0, 4)),
+    min_size=1, max_size=5)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(spec=_tower_spec, data=st.data())
+def test_sqrt_search_agrees_with_divisions_first_reference(spec, data):
+    t = Tower(height_cap=5)
+    pool = [t.one]
+    for p, c, i in spec:
+        w = p + c * pool[i % len(pool)]
+        if w > 0:
+            pool.append(w.sqrt())
+    m = t.height
+    assume(m >= 1)
+    # w = u * prod(sqrt r_i for i in S) with S above u's top index
+    k = data.draw(st.integers(0, m), label="top of u")
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=1 << k,
+                                max_size=1 << k), label="u")
+    u = _norm({mask: c for mask, c in enumerate(coeffs) if c},
+              data.draw(st.integers(1, 4), label="den"))
+    assume(u[0])
+    top = _top(u[0])
+    above = data.draw(st.sets(st.integers(top + 1, m), min_size=1),
+                      label="S") if top < m else set()
+    w = u
+    for i in sorted(above):
+        w = _attach(w, i)
+    r = data.draw(st.sampled_from([2, 3, 6, 7]), label="r")
+    ww = t._mul_t(w, w)
+    wwr = t._mul_t(ww, ({0: r}, 1))
+    values = [ww, _neg_t(ww), wwr, _add_t(wwr, ({0: 1}, 1)), w]
+    radicands = list(t._radicands)
+    for x in values:
+        got = t._try_sqrt_t(x, m, [10 ** 6])
+        want = _ref_try_sqrt_t(t, x, m, [10 ** 6])
+        assert got == want
+        assert t._radicands == radicands
+    assert t._try_sqrt_t(ww, m, [10 ** 6]) is not None
 
 
 _small = st.integers(-3, 3)

@@ -7,7 +7,7 @@ from euclid import corpus
 from euclid.closure import ALL_OPS
 from euclid.dsl import ReplayOracle, SamplingOracle, parse_program, run
 from euclid.dsl.interp import answer_problem
-from euclid.errors import RunAbort
+from euclid.errors import ResourceLimitError, RunAbort
 from euclid.field import Tower
 from euclid.game import (
     STOP,
@@ -28,7 +28,7 @@ from euclid.game import (
     scripted_alice,
 )
 from euclid.geom import Circle, Line, Point, point
-from euclid.regions import Cell, Disk
+from euclid.regions import INSCRIBE_HALVINGS, Cell, Disk, inscribe_disk
 
 
 def unit_circle(tower) -> Circle:
@@ -443,6 +443,17 @@ def test_certificate_bob_excludes_target_at_several_budgets():
         heights = {p.height for p in record.position.points}
         heights |= {c.height for c in record.position.curves}
         assert heights == {0}
+
+
+def test_inscribe_disk_raises_naming_its_bound():
+    tw = Tower()
+    axis = Line.through(point(tw, 0, 0), point(tw, 1, 0))
+    q = point(tw, 0, Fraction(1, 2 ** 300))
+    cell = Cell(((axis, axis.side(q)),))
+    assert inscribe_disk(cell, point(tw, 0, 1)) == Fraction(1, 2)
+    with pytest.raises(ResourceLimitError,
+                       match=f"INSCRIBE_HALVINGS={INSCRIBE_HALVINGS}"):
+        inscribe_disk(cell, q)
 
 
 def test_uniform_view_exposes_predicates_not_coordinates():
