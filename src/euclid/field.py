@@ -21,6 +21,8 @@ When it runs out of `sqrt_search_budget` it cannot certify absence, and
 `sqrt` raises ResourceLimitError instead of extending the tower.
 Equality and hashing are therefore structural: two elements of one
 tower are equal exactly when their numerator maps and denominators are.
+Each element computes its hash once, on the first call, and keeps it;
+the sqrt memo is keyed by the elements themselves.
 
 All predicates (sign, equality, comparisons) are exact.  Signs are read
 from certified integer enclosures L <= x * 2**p <= H: every radicand is
@@ -55,6 +57,12 @@ _START_PREC = 64
 
 def _norm(num: Num, den: int) -> Terms:
     """(num, den) in lowest terms, with zero numerators dropped."""
+    if len(num) == 1:
+        ((k, c),) = num.items()
+        if not c:
+            return {}, 1
+        g = math.gcd(den, c)
+        return (num, den) if g == 1 else ({k: c // g}, den // g)
     if 0 in num.values():
         num = {k: c for k, c in num.items() if c}
     if den != 1:
@@ -96,6 +104,22 @@ def _attach(t: Terms, h: int) -> Terms:
 def _add_t(u: Terms, v: Terms, s: int = 1) -> Terms:
     """u + s*v for s = 1 or -1, over the lcm of the denominators."""
     (un, ud), (vn, vd) = u, v
+    if len(un) == 1 == len(vn):
+        ((ku, cu),) = un.items()
+        ((kv, cv),) = vn.items()
+        if ku == kv:
+            # one coefficient, reduced by one gcd
+            if ud == vd:
+                c = cu + s * cv
+                den = ud
+            else:
+                g = math.gcd(ud, vd)
+                c = cu * (vd // g) + s * cv * (ud // g)
+                den = ud * (vd // g)
+            if not c:
+                return {}, 1
+            g = math.gcd(den, c)
+            return {ku: c // g}, den // g
     if ud == vd:
         out = dict(un)
         den = ud
@@ -145,7 +169,7 @@ class Tower:
         self._radicands: list[Terms] = []       # r_i at slot i-1
         self._rad_used: list[int] = []          # mask of the radicands r_i uses
         self._rad_inv: list[Terms] = []
-        self._sqrt_memo: dict[tuple, Constructible] = {}
+        self._sqrt_memo: dict[Constructible, Constructible] = {}
         self._monos: dict[tuple[int, int], Terms] = {}          # see _mono
         self._bounds: dict[tuple[int, int], tuple[int, int]] = {}   # see _bound
         self.zero = self._make(({}, 1))
@@ -203,6 +227,15 @@ class Tower:
 
     def _mul_t(self, u: Terms, v: Terms) -> Terms:
         un, vn = u[0], v[0]
+        if len(un) == 1 == len(vn):
+            ((ku, cu),) = un.items()
+            ((kv, cv),) = vn.items()
+            if not ku & kv:
+                # one coefficient, reduced by one gcd
+                c = cu * cv
+                den = u[1] * v[1]
+                g = math.gcd(den, c)
+                return {ku | kv: c // g}, den // g
         out: Num = {}
         get = out.get
         scale = 1       # out holds the product's numerators times `scale`
@@ -410,15 +443,15 @@ class Tower:
         return None
 
     def _sqrt(self, x: "Constructible") -> "Constructible":
+        # only positive values are stored, so a hit needs no sign
+        hit = self._sqrt_memo.get(x)
+        if hit is not None:
+            return hit
         s = self._sign(x._num)
         if s < 0:
             raise NegativeRadicandError("sqrt of negative value")
         if s == 0:
             return self.zero
-        key = x._key()
-        hit = self._sqrt_memo.get(key)
-        if hit is not None:
-            return hit
         t = x._terms
         w = self._try_sqrt_t(t, len(self._radicands),
                              [self.sqrt_search_budget])
@@ -432,7 +465,7 @@ class Tower:
             self._rad_inv.append(self._inv_t(t))
             w = {1 << (len(self._radicands) - 1): 1}, 1
         res = self._make(w)
-        self._sqrt_memo[key] = res
+        self._sqrt_memo[x] = res
         return res
 
     def _try_sqrt(self, x: "Constructible", max_index: int | None) -> "Constructible | None":
@@ -449,7 +482,7 @@ class Tower:
 class Constructible:
     """An element of a tower session.  Immutable; arithmetic via operators."""
 
-    __slots__ = ("tower", "_num", "_den", "_height", "_iv", "_keyc")
+    __slots__ = ("tower", "_num", "_den", "_height", "_iv", "_hash")
 
     def __init__(self, tower: Tower, num: Num, den: int):
         self.tower = tower
@@ -457,18 +490,13 @@ class Constructible:
         self._den = den
         self._height: int | None = None
         self._iv: tuple[int, int, int] | None = None     # (p, lo, hi)
-        self._keyc = None
+        self._hash: int | None = None
 
     # -- basics --------------------------------------------------------------
 
     @property
     def _terms(self) -> Terms:
         return self._num, self._den
-
-    def _key(self):
-        if self._keyc is None:
-            self._keyc = (self._den, frozenset(self._num.items()))
-        return self._keyc
 
     @property
     def height(self) -> int:
@@ -592,11 +620,18 @@ class Constructible:
 
     def __hash__(self):
         # structural, like __eq__; elements of different towers may
-        # collide, and a rational hashes as the Fraction it equals
-        if self.is_rational():
-            n, d = self._num.get(0, 0), self._den
-            return hash(n) if d == 1 else hash(Fraction(n, d))
-        return hash(self._key())
+        # collide, and a rational hashes as the Fraction it equals.
+        # Computed on the first call and kept: elements are immutable.
+        h = self._hash
+        if h is None:
+            num, d = self._num, self._den
+            if self.is_rational():
+                n = num.get(0, 0)
+                h = hash(n) if d == 1 else hash(Fraction(n, d))
+            else:
+                h = hash((d, frozenset(num.items())))
+            self._hash = h
+        return h
 
     # -- roots, polynomials, enclosures --------------------------------------
 

@@ -12,7 +12,9 @@ quadratic of a line and a circle, which `_line_circle` solves and
 the (numerators, denominator) term pairs of `field` with one inverse
 per call, and make field elements, each checked by the coefficient
 guard, only for the coordinates and line coefficients they return and
-for the discriminant they take the root of.
+for the discriminant they take the root of.  The predicates `side` and
+`contains` run on term pairs too and make no element at all; `eval`
+makes one, the value they read.
 `Step` records one construction step in the traces of runs, closures
 and densification alike.
 """
@@ -120,14 +122,22 @@ class Line:
     def height(self) -> int:
         return max(self.a.height, self.b.height, self.c.height)
 
+    def _value(self, p: Point) -> Terms:
+        """a*x + b*y + c at p, as a term pair."""
+        tw = _tower_of(self, p)
+        v = tw._mul_t(self.b._terms, p.y._terms)
+        if self.a:                      # normalized: a is 1 or 0
+            v = _add_t(p.x._terms, v)
+        return _add_t(v, self.c._terms)
+
     def eval(self, p: Point) -> Constructible:
-        return self.a * p.x + self.b * p.y + self.c
+        return self.tower._make(self._value(p))
 
     def side(self, p: Point) -> int:
-        return self.eval(p).sign()
+        return self.tower._sign(self._value(p)[0])
 
     def contains(self, p: Point) -> bool:
-        return not self.eval(p)
+        return not self._value(p)[0]
 
     def direction(self) -> tuple[Constructible, Constructible]:
         return self.b, -self.a
@@ -168,16 +178,22 @@ class Circle:
     def height(self) -> int:
         return max(self.center.height, self.r2.height)
 
+    def _value(self, p: Point) -> Terms:
+        """|p - center|^2 - r2, as a term pair."""
+        tw = _tower_of(self, p)
+        o = self.center
+        return _sub_t(_norm2(tw, _sub_t(p.x._terms, o.x._terms),
+                             _sub_t(p.y._terms, o.y._terms)),
+                      self.r2._terms)
+
     def eval(self, p: Point) -> Constructible:
-        dx = p.x - self.center.x
-        dy = p.y - self.center.y
-        return dx * dx + dy * dy - self.r2
+        return self.tower._make(self._value(p))
 
     def side(self, p: Point) -> int:
-        return self.eval(p).sign()
+        return self.tower._sign(self._value(p)[0])
 
     def contains(self, p: Point) -> bool:
-        return not self.eval(p)
+        return not self._value(p)[0]
 
     def __eq__(self, other):
         if not isinstance(other, Circle):
@@ -237,10 +253,11 @@ class Step:
 
 # -- scalar helpers ----------------------------------------------------------
 
-def _tower_of(p: Point, q: Point) -> Tower:
-    tw = p.tower
-    if q.tower is not tw:
-        raise SessionMismatchError("points from different towers")
+def _tower_of(u, v) -> Tower:
+    """The tower of two points, or of a curve and a point."""
+    tw = u.tower
+    if v.tower is not tw:
+        raise SessionMismatchError("operands from different towers")
     return tw
 
 

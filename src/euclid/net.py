@@ -114,10 +114,10 @@ class _Frame:
 
     def line(self, p: Point, q: Point) -> Line:
         obj = Line.through(p, q)
-        if obj not in self._lines:
-            self._lines[obj] = obj
+        known = self._lines.setdefault(obj, obj)
+        if known is obj:
             self.trace.append(Step("line", (obj,), (p, q)))
-        return self._lines[obj]
+        return known
 
     def cross(self, g: Line, h: Line) -> Point | None:
         pts = intersect(g, h)

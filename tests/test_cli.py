@@ -6,6 +6,7 @@ import pytest
 from euclid.cli import main
 from euclid.corpus import entry
 from euclid.dsl import recorded_answers, run
+from euclid.field import Tower
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 AB = str(CONFIGS / "ab.cfg")
@@ -275,6 +276,24 @@ def test_densify_reaches_the_scene_target(capsys):
     assert code == 0
     assert out.startswith("reached (3/2, 5/4) after ")
     assert "straightedge steps" in out
+
+
+def test_densify_field_element_count(capsys, monkeypatch):
+    # the count is exact and box-independent: 3,849 elements while
+    # `side` and `contains` built their values through the operators,
+    # 2,825 with both on term pairs
+    made = [0]
+    make = Tower._make
+
+    def counted(self, t):
+        made[0] += 1
+        return make(self, t)
+
+    monkeypatch.setattr(Tower, "_make", counted)
+    code, _, _ = invoke(capsys, "densify", DENSIFY, "--target", "T",
+                        "--eps", "1/64")
+    assert code == 0
+    assert made[0] <= 3300
 
 
 def test_densify_json_lists_straightedge_steps(capsys):

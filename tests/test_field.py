@@ -13,6 +13,7 @@ from euclid.errors import (
     SessionMismatchError,
 )
 from euclid.field import (
+    Constructible,
     Tower,
     _add_t,
     _attach,
@@ -291,6 +292,49 @@ def test_rational_element_hashes_as_the_number_it_equals():
         assert hash(Tower().from_rational(q)) == hash(q)
 
 
+def _hash_formula(x):
+    num, den = x._num, x._den
+    if _top(num) == 0:
+        return hash(Fraction(num.get(0, 0), den))
+    return hash((den, frozenset(num.items())))
+
+
+def test_hash_is_computed_once_by_the_structural_formula():
+    t = Tower()
+    r2 = t.from_rational(2).sqrt()
+    r3 = t.from_rational(3).sqrt()
+    for x in (t.zero, t.one, t.from_rational(-7), t.from_rational(Fraction(5, 6)),
+              r2, -r2 / 3, 1 + r2, (r2 + r3) / 7, r2 * r3 - Fraction(1, 2)):
+        assert x._hash is None
+        assert hash(x) == _hash_formula(x)
+        assert x._hash == hash(x)
+    # the second call reads the kept value and computes nothing
+    x = (1 + r2) / 5
+    hash(x)
+    x._hash = 12345
+    assert hash(x) == 12345
+
+
+def test_sqrt_memo_is_keyed_by_elements(monkeypatch):
+    t = Tower()
+    r2 = t.from_rational(2).sqrt()
+    s = (3 + r2).sqrt()
+    assert t.height == 2
+    assert all(type(k) is Constructible for k in t._sqrt_memo)
+    signs = []
+    sign = Tower._sign
+    monkeypatch.setattr(Tower, "_sign",
+                        lambda self, num: signs.append(num) or sign(self, num))
+    # fresh elements equal to memoised radicands get the same roots back,
+    # and a hit decides no sign
+    fresh = t.from_rational(2)
+    assert all(k is not fresh for k in t._sqrt_memo)
+    assert fresh.sqrt() is r2
+    assert (r2 + 3).sqrt() is s
+    assert signs == []
+    assert t.height == 2
+
+
 def test_sqrt_budget_exhaustion_raises_instead_of_extending():
     # 5 + 2*sqrt(6) is (sqrt(2) + sqrt(3))**2, but a 3-step search cannot
     # find that root; a radicand added uncertified would give the value
@@ -502,3 +546,112 @@ def test_coefficient_size_guard():
     assert 1 / (1 + r3) == (r3 - 1) / 2
     with pytest.raises(ResourceLimitError, match=message):
         1 / y                   # 1 - 3 * 2**80 in the denominator
+
+
+# The term kernels' bodies before their one-term paths: the reference
+# the direct paths must reproduce exactly.
+
+def _ref_norm(num, den):
+    if 0 in num.values():
+        num = {k: c for k, c in num.items() if c}
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {k: c // g for k, c in num.items()}
+            den //= g
+    return num, den
+
+
+def _ref_add_t(u, v, s=1):
+    (un, ud), (vn, vd) = u, v
+    if ud == vd:
+        out = dict(un)
+        den = ud
+    else:
+        g = math.gcd(ud, vd)
+        f = vd // g
+        out = {k: c * f for k, c in un.items()}
+        s *= ud // g
+        den = ud * f
+    get = out.get
+    for k, c in vn.items():
+        out[k] = get(k, 0) + s * c
+    return _ref_norm(out, den)
+
+
+def _ref_mono(tw, common, sym):
+    m = ({sym: 1}, 1)
+    rest = common
+    while rest:
+        low = rest & -rest
+        m = _ref_mul_t(tw, m, tw._radicands[low.bit_length() - 1])
+        rest ^= low
+    return m
+
+
+def _ref_mul_t(tw, u, v):
+    out = {}
+    get = out.get
+    scale = 1
+    for ku, cu in u[0].items():
+        for kv, cv in v[0].items():
+            common = ku & kv
+            if not common:
+                k = ku ^ kv
+                out[k] = get(k, 0) + cu * cv * scale
+                continue
+            mn, md = _ref_mono(tw, common, ku ^ kv)
+            if scale % md:
+                f = md // math.gcd(scale, md)
+                scale *= f
+                for k in out:
+                    out[k] *= f
+            c = cu * cv * (scale // md)
+            for k, c2 in mn.items():
+                out[k] = get(k, 0) + c * c2
+    return _ref_norm(out, u[1] * v[1] * scale)
+
+
+_kernel_coeff = st.integers(-12, 12)
+
+
+@st.composite
+def _kernel_terms(draw, height):
+    """A normalized term pair: one term or several, or zero."""
+    masks = st.integers(0, (1 << height) - 1)
+    size = draw(st.sampled_from([0, 1, 1, 1, 2, 3]), label="terms")
+    num = draw(st.dictionaries(masks, _kernel_coeff.filter(bool),
+                               min_size=min(size, 1 << height),
+                               max_size=size), label="num")
+    # common factors of numerators and denominator, so results reduce
+    f = draw(st.sampled_from([1, 1, 2, 3, 6]), label="factor")
+    den = draw(st.integers(1, 8), label="den") * f
+    return _ref_norm({k: c * f for k, c in num.items()}, den)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(spec=st.lists(st.tuples(st.sampled_from([2, 3, 5, 7]),
+                               st.integers(0, 1), st.integers(0, 3)),
+                     max_size=3),
+       data=st.data())
+def test_term_kernels_agree_with_generic_reference(spec, data):
+    t = Tower(height_cap=3)
+    pool = [t.one]
+    for p, c, i in spec:
+        pool.append((p + c * pool[i % len(pool)]).sqrt())
+    m = t.height
+    u = data.draw(_kernel_terms(m), label="u")
+    v = data.draw(_kernel_terms(m), label="v")
+    s = data.draw(st.sampled_from([1, -1]), label="s")
+    if data.draw(st.booleans(), label="cancel"):
+        v = u if s == -1 else _neg_t(u)         # u + s*v == 0
+    assert t._mul_t(u, v) == _ref_mul_t(t, u, v)
+    assert t._mul_t(v, u) == _ref_mul_t(t, v, u)
+    got = _add_t(u, v, s)
+    assert got == _ref_add_t(u, v, s)
+    assert _add_t(v, u, s) == _ref_add_t(v, u, s)
+    # raw maps, zero numerators included, over any denominator
+    raw = data.draw(st.dictionaries(st.integers(0, (1 << m) - 1),
+                                    _kernel_coeff, max_size=3), label="raw")
+    den = data.draw(st.integers(1, 24), label="raw den")
+    assert _norm(dict(raw), den) == _ref_norm(dict(raw), den)

@@ -133,12 +133,16 @@ def _nested(tw, h):
     return s
 
 
+def _at(tw, spot):
+    x, y, h = spot
+    return Point(tw.from_rational(x) + _nested(tw, h), tw.from_rational(y))
+
+
 def _build(tw, spec):
     """A line through, or a circle centered at the first through the
     second, of two half-integer points, each with x shifted by s_h."""
     kind, *spots = spec
-    p, q = (Point(tw.from_rational(x) + _nested(tw, h), tw.from_rational(y))
-            for x, y, h in spots)
+    p, q = (_at(tw, spot) for spot in spots)
     return Line.through(p, q) if kind == "line" else Circle.centered(p, q)
 
 
@@ -261,6 +265,61 @@ def test_kernels_match_operator_reference(u_spec, v_spec):
         assert [_terms(p) for p in intersect(g, h)] == \
             [_terms(p) for p in _ref_intersect(rg, rh)]
         assert mine._radicands == ref._radicands
+
+
+def _ref_eval(c, p):
+    """The curve's equation at p, written with the field's operators."""
+    if isinstance(c, Line):
+        return c.a * p.x + c.b * p.y + c.c
+    dx = p.x - c.center.x
+    dy = p.y - c.center.y
+    return dx * dx + dy * dy - c.r2
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(_curve, _curve)
+def test_predicates_agree_with_eval(u_spec, v_spec):
+    tw = Tower()
+    u, v = _build(tw, u_spec), _build(tw, v_spec)
+    # the defining points, on or off the other curve, and the meets
+    pts = [_at(tw, spot) for spot in u_spec[1:] + v_spec[1:]]
+    if u != v:
+        pts += intersect(u, v)
+    for c in (u, v):
+        for p in pts:
+            value = c.eval(p)
+            assert value == _ref_eval(c, p)
+            assert c.side(p) == value.sign()
+            assert c.contains(p) == (not value)
+
+
+def test_predicates_make_no_elements(tw, monkeypatch):
+    r2 = tw.from_rational(2).sqrt()
+    slanted = Line.through(point(tw, 0, 0), Point(r2, tw.one))
+    level = Line.through(Point(tw.zero, r2), Point(tw.one, r2))
+    c = Circle.centered(Point(r2, tw.zero), point(tw, 1, 3))
+    pts = [point(tw, 1, 2), Point(r2, r2), *intersect(slanted, c)]
+    made = []
+    make = Tower._make
+    monkeypatch.setattr(Tower, "_make",
+                        lambda self, t: made.append(t) or make(self, t))
+    for curve in (slanted, level, c):
+        for p in pts:
+            curve.side(p)
+            curve.contains(p)
+    assert made == []
+    c.eval(pts[0])
+    assert len(made) == 1
+
+
+def test_predicates_reject_points_of_other_towers():
+    t1, t2 = Tower(), Tower()
+    o, p = point(t1, 0, 0), point(t1, 1, 0)
+    q = point(t2, 0, 0)
+    for curve in (Line.through(o, p), Circle.centered(o, p)):
+        for predicate in (curve.side, curve.contains, curve.eval):
+            with pytest.raises(SessionMismatchError):
+                predicate(q)
 
 
 def test_intersect_rejects_points(tw):
