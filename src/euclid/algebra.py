@@ -136,18 +136,6 @@ def rational_roots(p: IntPoly) -> list[Fraction]:
     return sorted(roots)
 
 
-def irreducible_over_Q(p: IntPoly) -> bool:
-    """Irreducibility for degrees 2 and 3: no rational root.
-
-    Other degrees raise ScopeError; a factor search beyond the cubic
-    range is out of scope.
-    """
-    if p.degree not in (2, 3):
-        raise ScopeError(
-            f"irreducibility test covers degrees 2-3, got {p.degree}")
-    return not rational_roots(p)
-
-
 @dataclass(frozen=True)
 class NotConstructible:
     """The irreducible degree is not a power of two: no root is

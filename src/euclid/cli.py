@@ -28,8 +28,8 @@ from .dsl.parser import parse_program
 from .errors import (CheckError, DegenerateInputError, ParseError, RangeError,
                      ReduciblePolynomialError, ResourceLimitError, RunAbort,
                      ScopeError)
-from .game import (Aborted, AliceWins, CertificateBob, SamplingBob, Timeout,
-                   play, rational_certificate, scripted_alice)
+from .game import (Aborted, AliceWins, CertificateBob, Timeout, play,
+                   rational_certificate, scripted_alice)
 from .geom import Circle, Line, Point, point
 from .net import densify
 from .render import _dec, _mid, auto_viewport, render_svg
@@ -97,6 +97,27 @@ def _rational_arg(text: str, what: str) -> Fraction:
         raise UsageError(f"bad {what} {text!r}") from None
 
 
+def _count(text: str) -> int:
+    """argparse type of the budget and sample-count flags: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _sampling(spec: str, what: str, want: str) -> SamplingOracle:
+    """A run oracle, or a game's Bob, from `seed` or `sampling:seed`."""
+    digits = spec[len("sampling:"):] if spec.startswith("sampling:") else spec
+    try:
+        return SamplingOracle(int(digits))
+    except ValueError:
+        raise UsageError(f"bad {what} spec {spec!r} (want {want})") from None
+
+
 def _parse_oracle(spec: str, tower):
     if spec.startswith("script:"):
         body = spec[len("script:"):]
@@ -111,12 +132,7 @@ def _parse_oracle(spec: str, tower):
         if not answers:
             raise UsageError("empty oracle script")
         return ReplayOracle(answers)
-    digits = spec[len("sampling:"):] if spec.startswith("sampling:") else spec
-    try:
-        return SamplingOracle(int(digits))
-    except ValueError:
-        raise UsageError(f"bad oracle spec {spec!r} "
-                         "(want a seed or script:x,y;x,y)") from None
+    return _sampling(spec, "oracle", "a seed or script:x,y;x,y")
 
 
 def _parse_alice(spec: str, scene: Scene):
@@ -138,12 +154,8 @@ def _parse_bob(spec: str):
             return CertificateBob(rational_certificate())
         raise UsageError(f"unknown certificate {name!r} "
                          "(known: rational-plane)")
-    digits = spec[len("sampling:"):] if spec.startswith("sampling:") else spec
-    try:
-        return SamplingBob(int(digits))
-    except ValueError:
-        raise UsageError(f"bad bob spec {spec!r} (want sampling:seed "
-                         "or certificate:rational-plane)") from None
+    return _sampling(spec, "bob",
+                     "sampling:seed or certificate:rational-plane")
 
 
 def _resolve(scene: Scene, name: str):
@@ -353,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("closure",
                        help="saturate a scene under construction steps")
     p.add_argument("config")
-    p.add_argument("--rounds", type=int, required=True)
+    p.add_argument("--rounds", type=_count, required=True)
     p.add_argument("--target", help="ask whether this object appears")
-    p.add_argument("--max-objects", type=int, default=5000)
+    p.add_argument("--max-objects", type=_count, default=5000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_closure)
 
@@ -366,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="corpus:entry or script:program-file")
     p.add_argument("--bob", required=True,
                    help="sampling:seed or certificate:rational-plane")
-    p.add_argument("--max-moves", type=int, default=50)
+    p.add_argument("--max-moves", type=_count, default=50)
     p.add_argument("--transcript", action="store_true",
                    help="print every move before the outcome")
     p.add_argument("--json", action="store_true")
@@ -387,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--eps", required=True,
                    help="rational distance bound, e.g. 1/64")
-    p.add_argument("--max-iterations", type=int, default=96)
+    p.add_argument("--max-iterations", type=_count, default=96)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_densify)
 
@@ -395,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replay shipped constructions over sampled "
                             "inputs and oracle seeds")
     p.add_argument("entry", nargs="?", help="verify one entry by name")
-    p.add_argument("--input-samples", type=int,
+    p.add_argument("--input-samples", type=_count,
                    default=corpus.DEFAULT_INPUT_SAMPLES)
     p.add_argument("--oracle-seeds", type=int,
                    default=corpus.DEFAULT_ORACLE_SEEDS)

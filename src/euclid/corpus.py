@@ -7,7 +7,9 @@ crossed with seeded sampling oracles; a trial fails when the run aborts
 or the postcondition is violated, and the report keeps the trace of
 every failing trial.  One entry is deliberately broken and is expected
 to fail; `verify_corpus` checks that expectations hold across the whole
-registry.
+registry.  `uses(program, *kinds)` is the one scan of a program's
+statements for given statement kinds; an entry's `compass_only` and
+`test_free` flags read it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .dsl import SamplingOracle, parse_program, run
-from .dsl.ast import If, LetArbitrary, LetChoose, LetLine, Program, While
+from .dsl.ast import If, LetChoose, LetLine, Program, While
 from .errors import RunAbort
 from .field import Tower
 from .geom import (
@@ -28,7 +30,6 @@ from .geom import (
     dist2,
     intersect,
     midpoint,
-    orientation,
     point,
 )
 from .regions import triangle_cell
@@ -48,26 +49,11 @@ def _program_statements(block):
             yield from _program_statements(st.body)
 
 
-def is_compass_only(program: Program) -> bool:
-    """Whether the program never draws a line."""
-    return not any(isinstance(st, LetLine)
-                   for st in _program_statements(program.body))
-
-
-def is_test_free(program: Program) -> bool:
-    """Whether the program runs without evaluating any predicate."""
-    return not any(isinstance(st, (If, While, LetChoose))
-                   for st in _program_statements(program.body))
-
-
-def is_loop_free(program: Program) -> bool:
-    return not any(isinstance(st, While)
-                   for st in _program_statements(program.body))
-
-
-def is_arbitrary_free(program: Program) -> bool:
-    return not any(isinstance(st, LetArbitrary)
-                   for st in _program_statements(program.body))
+def uses(program: Program, *kinds) -> bool:
+    """Whether any statement of the program, nested ones included, is an
+    instance of one of the given statement classes."""
+    return any(isinstance(st, kinds)
+               for st in _program_statements(program.body))
 
 
 _programs: dict[str, Program] = {}
@@ -109,11 +95,13 @@ class CorpusEntry:
 
     @property
     def compass_only(self) -> bool:
-        return is_compass_only(self.program())
+        """Whether the program never draws a line."""
+        return not uses(self.program(), LetLine)
 
     @property
     def test_free(self) -> bool:
-        return is_test_free(self.program())
+        """Whether the program runs without evaluating any predicate."""
+        return not uses(self.program(), If, While, LetChoose)
 
 
 @dataclass(frozen=True)
@@ -432,8 +420,14 @@ def verify_entry(e: CorpusEntry,
     Input 0 is always the canonical input; the rest are drawn from the
     entry's sampler.  Every trial runs in a fresh tower session.  A
     trial fails when the run aborts or the postcondition returns a
-    violation; all failures are collected with their traces.
+    violation; all failures are collected with their traces.  Raises
+    ValueError when oracle_seeds < 1 or input_samples < 0, since either
+    would run no trial and report a vacuous pass.
     """
+    if oracle_seeds < 1 or input_samples < 0:
+        raise ValueError(f"verify needs oracle_seeds >= 1 and "
+                         f"input_samples >= 0, got {oracle_seeds} and "
+                         f"{input_samples}")
     program = e.program()
     rng = random.Random(f"{base_seed}:{e.name}")
     failures = []

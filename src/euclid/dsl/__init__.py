@@ -5,7 +5,6 @@ from .interp import (
     ReplayOracle,
     RunResult,
     SamplingOracle,
-    other_intersection,
     recorded_answers,
     run,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "RunResult",
     "SamplingOracle",
     "check_program",
-    "other_intersection",
     "parse_program",
     "recorded_answers",
     "run",

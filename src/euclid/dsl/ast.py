@@ -126,6 +126,3 @@ class Program:
     params: tuple[Param, ...]
     body: tuple
     returns: tuple[str, ...]
-
-    def count_statements(self) -> int:
-        return len(self.body)

@@ -37,7 +37,6 @@ from ..geom import (
 )
 from ..regions import Cell, Disk, sample_point
 from .ast import (
-    CellExpr,
     DiskExpr,
     If,
     LetArbitrary,
@@ -405,18 +404,3 @@ def requests(program: Program, inputs):
 def recorded_answers(trace) -> list[Point]:
     """Oracle answers of a run trace, for ReplayOracle."""
     return [step.made[0] for step in trace if step.rule == "arbitrary"]
-
-
-def other_intersection(p: Point, g, h) -> Point:
-    """The intersection point of g and h different from p.
-
-    Raises DegenerateInputError when p is not an intersection point or
-    the curves meet only tangentially at p.
-    """
-    pts = intersect(g, h)
-    if p not in pts:
-        raise DegenerateInputError("point is not an intersection of the curves")
-    others = [q for q in pts if q != p]
-    if not others:
-        raise DegenerateInputError("curves meet only at the given point")
-    return others[0]

@@ -279,35 +279,6 @@ def scripted_alice(program: Program, inputs) -> ScriptedAlice:
     return ScriptedAlice(program, inputs)
 
 
-class UniformView:
-    """Predicate-only view of a position for uniform strategies.
-
-    Objects are addressed by kind and arrival index; only exact test
-    answers are exposed, never coordinates.
-    """
-
-    def __init__(self, position: Position):
-        self._position = position
-
-    def counts(self) -> tuple[int, int]:
-        return len(self._position.points), len(self._position.curves)
-
-    def _point(self, i: int) -> Point:
-        return self._position.points[i]
-
-    def _curve(self, i: int):
-        return self._position.curves[i]
-
-    def equal_points(self, i: int, j: int) -> bool:
-        return self._point(i) == self._point(j)
-
-    def on(self, i: int, j: int) -> bool:
-        return self._curve(j).contains(self._point(i))
-
-    def side(self, i: int, j: int) -> int:
-        return self._curve(j).side(self._point(i))
-
-
 # ---------------------------------------------------------------------------
 # Bobs.
 

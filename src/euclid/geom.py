@@ -14,7 +14,8 @@ per call, and make field elements, each checked by the coefficient
 guard, only for the coordinates and line coefficients they return and
 for the discriminant they take the root of.  The predicates `side` and
 `contains` run on term pairs too and make no element at all; `eval`
-makes one, the value they read.
+makes one, the value they read.  `cross(p, q, r)` is the one signed
+area formula: `orientation` reads its sign, and `net` its ratios.
 `Step` records one construction step in the traces of runs, closures
 and densification alike.
 """
@@ -277,9 +278,14 @@ def dist_compare(p: Point, q: Point, r: Point, s: Point) -> int:
     return (dist2(p, q) - dist2(r, s)).sign()
 
 
+def cross(p: Point, q: Point, r: Point) -> Constructible:
+    """(q - p) x (r - p): twice the signed area of the triangle p, q, r."""
+    return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+
+
 def orientation(p: Point, q: Point, r: Point) -> int:
     """+1 if p->q->r turns left, -1 right, 0 collinear."""
-    return ((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)).sign()
+    return cross(p, q, r).sign()
 
 
 def between(p: Point, q: Point, r: Point) -> bool:
@@ -291,10 +297,6 @@ def between(p: Point, q: Point, r: Point) -> bool:
 
 def midpoint(p: Point, q: Point) -> Point:
     return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
-
-
-def sign_vector(p: Point, curves) -> tuple[int, ...]:
-    return tuple(c.side(p) for c in curves)
 
 
 # -- intersections -----------------------------------------------------------
@@ -462,18 +464,10 @@ class ProjectiveMap:
         self.m = m
         self._inv = None
 
-    @classmethod
-    def identity(cls) -> "ProjectiveMap":
-        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
     def inverse(self) -> "ProjectiveMap":
         if self._inv is None:
             self._inv = ProjectiveMap(_mat_inv(self.m))
         return self._inv
-
-    def compose(self, other: "ProjectiveMap") -> "ProjectiveMap":
-        """The map applying `other` first, then self."""
-        return ProjectiveMap(_mat_mul(self.m, other.m))
 
     def apply_point(self, p: Point) -> Point:
         m = self.m

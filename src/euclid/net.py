@@ -27,7 +27,7 @@ from itertools import combinations
 from .errors import DegenerateInputError, ResourceLimitError, ScopeError
 from .game import (STOP, GameMove, RCircle, RIntersect, RLine, RPointInCell,
                    RPointInDisk)
-from .geom import Line, Point, Step, dist2, intersect, orientation
+from .geom import Line, Point, Step, cross, dist2, intersect, orientation
 from .regions import Cell, contains_closed_disk, triangle_cell
 
 DEFAULT_MAX_ITERATIONS = 96
@@ -41,10 +41,6 @@ class DensifyResult:
     iterations: int
     trace: list
     frame_coords: tuple
-
-
-def _cross(p: Point, q: Point, r: Point):
-    return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
 
 
 def straightedge_only(trace) -> bool:
@@ -102,10 +98,10 @@ class _Frame:
     def __init__(self, a: Point, b: Point, c: Point, d: Point):
         self.a, self.b, self.c, self.d = a, b, c, d
         self.tower = a.tower
-        den = _cross(a, b, c)
-        self.alpha = _cross(d, b, c) / den
-        self.beta = _cross(a, d, c) / den
-        self.gamma = _cross(a, b, d) / den
+        den = cross(a, b, c)
+        self.alpha = cross(d, b, c) / den
+        self.beta = cross(a, d, c) / den
+        self.gamma = cross(a, b, d) / den
         self.trace: list[Step] = []
         self._lines: dict = {}
         self._build_seeds()
@@ -149,10 +145,10 @@ class _Frame:
 
     def to_frame(self, p: Point):
         """Frame coordinates of a real point as exact elements."""
-        den = _cross(self.a, self.b, self.c)
-        x = (_cross(p, self.b, self.c) / den) / self.alpha
-        y = (_cross(self.a, p, self.c) / den) / self.beta
-        z = (_cross(self.a, self.b, p) / den) / self.gamma
+        den = cross(self.a, self.b, self.c)
+        x = (cross(p, self.b, self.c) / den) / self.alpha
+        y = (cross(self.a, p, self.c) / den) / self.beta
+        z = (cross(self.a, self.b, p) / den) / self.gamma
         w = x + y + z
         if not w:
             raise DegenerateInputError(
@@ -518,8 +514,3 @@ class RestrictedAlice:
             if contains_closed_disk(cell, center, r2):
                 return tri, cell
         return None
-
-
-def restricted_alice(inner, translation_budget: int = 4000) \
-        -> RestrictedAlice:
-    return RestrictedAlice(inner, translation_budget)

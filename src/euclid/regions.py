@@ -4,9 +4,11 @@ A region is either an open disk or an open cell cut out by strict side
 conditions against known lines and circles.  Membership is decided with
 exact sign tests.  `triangle_cell` is the open interior of a triangle
 as a cell.  `contains_closed_disk` checks that a whole closed
-rational disk fits inside a region, again exactly, by squaring away the
-square roots in the distance comparisons.  `sample_point` hunts for a
-rational member on dyadic grids of increasing resolution.
+rational disk fits inside a region, again exactly: against a circle,
+inside or outside, the fit is the one test sqrt(a) + sqrt(b) < sqrt(c)
+of squared lengths, decided by squaring the roots away.
+`sample_point` hunts for a rational member on dyadic grids of
+increasing resolution.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from .errors import DegenerateInputError, ResourceLimitError
 from .geom import Circle, Line, Point, dist2, point
 
 INSIDE = -1
-OUTSIDE = 1
-POS = 1
-NEG = -1
 
 TRIES_PER_STAGE = 64    # grid draws per stage of sample_point
 MAX_STAGE = 12          # stages before sample_point gives up
@@ -40,9 +39,6 @@ class Disk:
 
     def contains(self, p: Point) -> bool:
         return (dist2(p, self.center) - self.r2).sign() < 0
-
-    def __repr__(self) -> str:
-        return f"Disk(center={self.center!r}, r2={self.r2!r})"
 
 
 @dataclass(frozen=True)
@@ -66,9 +62,6 @@ class Cell:
     def contains(self, p: Point) -> bool:
         return all(curve.side(p) == sign for curve, sign in self.conds)
 
-    def __repr__(self) -> str:
-        return f"Cell(conds={self.conds!r})"
-
 
 Region = Disk | Cell
 
@@ -86,24 +79,13 @@ def triangle_cell(a: Point, b: Point, c: Point) -> Cell:
     return Cell(tuple(conds))
 
 
-def _closed_disk_inside_circle(d2, r2, rho2) -> bool:
-    """dist(q,o) + rho < r, all quantities squared and exact."""
-    if (d2 - r2).sign() >= 0:
-        return False
-    slack = r2 + d2 - rho2
+def _sqrt_sum_below(a, b, c) -> bool:
+    """sqrt(a) + sqrt(b) < sqrt(c) for a, b, c >= 0, decided exactly:
+    c - a - b is positive and its square exceeds 4ab."""
+    slack = c - a - b
     if slack.sign() <= 0:
         return False
-    return (slack * slack - 4 * r2 * d2).sign() > 0
-
-
-def _closed_disk_outside_circle(d2, r2, rho2) -> bool:
-    """dist(q,o) - rho > r, i.e. the disk clears the circle outside."""
-    if (d2 - r2).sign() <= 0:
-        return False
-    slack = d2 - r2 - rho2
-    if slack.sign() <= 0:
-        return False
-    return (slack * slack - 4 * r2 * rho2).sign() > 0
+    return (slack * slack - 4 * a * b).sign() > 0
 
 
 def contains_closed_disk(region: Region, q: Point, rho2) -> bool:
@@ -116,8 +98,7 @@ def contains_closed_disk(region: Region, q: Point, rho2) -> bool:
     if rho2.sign() < 0:
         raise ValueError("negative squared radius")
     if isinstance(region, Disk):
-        d2 = dist2(q, region.center)
-        return _closed_disk_inside_circle(d2, region.r2, rho2)
+        return _sqrt_sum_below(dist2(q, region.center), rho2, region.r2)
     for curve, sign in region.conds:
         if isinstance(curve, Line):
             v = curve.eval(q)
@@ -127,13 +108,11 @@ def contains_closed_disk(region: Region, q: Point, rho2) -> bool:
             if margin.sign() <= 0:
                 return False
         else:
+            # inside: dist + rho < r; outside: r + rho < dist
             d2 = dist2(q, curve.center)
-            if sign == INSIDE:
-                if not _closed_disk_inside_circle(d2, curve.r2, rho2):
-                    return False
-            else:
-                if not _closed_disk_outside_circle(d2, curve.r2, rho2):
-                    return False
+            near, far = (d2, curve.r2) if sign == INSIDE else (curve.r2, d2)
+            if not _sqrt_sum_below(near, rho2, far):
+                return False
     return True
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from euclid import algebra, corpus
 from euclid.closure import Budget, closure, derivable, expand_once
 from euclid.dsl import SamplingOracle, run
-from euclid.dsl.ast import If, While
+from euclid.dsl.ast import If, LetArbitrary, LetChoose, While
 from euclid.field import Tower
 from euclid.game import (ALL_OPS, AliceWins, CertificateBob, Disk, RLine,
                          RPointInDisk, Timeout, certificate_bob,
@@ -86,7 +86,7 @@ def test_sqrt3_chord_exact_and_test_free():
 
         entry = corpus.entry("sqrt3")
         program = entry.program()
-        assert corpus.is_test_free(program)
+        assert not corpus.uses(program, If, While, LetChoose)
         assert not any(isinstance(st, (If, While))
                        for st in program.body)
         inputs = entry.canonical_inputs(Tower())
@@ -148,8 +148,7 @@ def test_loop_free_programs_confirmed_by_closure():
             if entry.expect_fail:
                 continue
             program = entry.program()
-            if not (corpus.is_loop_free(program)
-                    and corpus.is_arbitrary_free(program)):
+            if corpus.uses(program, While, LetArbitrary):
                 continue
             tower = Tower(height_cap=32)
             inputs = entry.canonical_inputs(tower)

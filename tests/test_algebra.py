@@ -9,7 +9,6 @@ from euclid.algebra import (
     NotConstructible,
     PRESETS,
     height_degree_report,
-    irreducible_over_Q,
     preset,
     rational_roots,
     trisection_poly,
@@ -64,16 +63,6 @@ def test_rational_roots_divide_exactly():
             carry = carry * r + c
             out.append(carry)
         assert out[-1] == 0
-
-
-def test_irreducible_over_Q():
-    assert irreducible_over_Q(IntPoly.parse("x^3-2"))
-    assert irreducible_over_Q(IntPoly.parse("8x^3-6x-1"))
-    assert not irreducible_over_Q(IntPoly.parse("x^2-1"))
-    with pytest.raises(ScopeError):
-        irreducible_over_Q(IntPoly.parse("x^4+1"))
-    with pytest.raises(ScopeError):
-        irreducible_over_Q(IntPoly.parse("x-1"))
 
 
 def test_wantzel_verdicts():

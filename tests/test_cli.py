@@ -374,6 +374,16 @@ def test_verify_corpus_json_failures_carry_witnesses(capsys):
     assert report["failures"][0]["kind"] in ("abort", "postcondition")
 
 
+@pytest.mark.parametrize("flags", [("--oracle-seeds", "0"),
+                                   ("--oracle-seeds", "-1")])
+def test_verify_corpus_that_would_run_nothing_is_a_usage_error(capsys,
+                                                               flags):
+    code, out, err = invoke(capsys, "verify-corpus", "midpoint", *flags)
+    assert code == 2
+    assert out == ""
+    assert "oracle_seeds >= 1" in err
+
+
 def test_verify_corpus_unknown_entry(capsys):
     code, _, err = invoke(capsys, "verify-corpus", "nonagon")
     assert code == 2
@@ -382,6 +392,34 @@ def test_verify_corpus_unknown_entry(capsys):
 
 # ---------------------------------------------------------------------------
 # wiring
+
+@pytest.mark.parametrize("argv, flag", [
+    (("closure", AB, "--rounds", "-2"), "--rounds"),
+    (("closure", AB, "--rounds", "1", "--max-objects", "-1"),
+     "--max-objects"),
+    (("game", AB, "--target", "M", "--alice", "corpus:midpoint",
+      "--bob", "sampling:0", "--max-moves", "-1"), "--max-moves"),
+    (("densify", DENSIFY, "--target", "T", "--eps", "1/64",
+      "--max-iterations", "-1"), "--max-iterations"),
+    (("verify-corpus", "midpoint", "--input-samples", "-1"),
+     "--input-samples"),
+])
+def test_negative_budgets_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be >= 0" in captured.err
+
+
+def test_budget_flags_keep_the_int_message(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["closure", AB, "--rounds", "two"])
+    assert info.value.code == 2
+    assert "argument --rounds: invalid int value: 'two'" in \
+        capsys.readouterr().err
+
 
 def test_no_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:

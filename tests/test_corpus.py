@@ -5,6 +5,7 @@ import pytest
 from euclid import corpus
 from euclid.closure import Budget, derivable
 from euclid.dsl import parse_program, run
+from euclid.dsl.ast import If, LetArbitrary, LetChoose, While
 from euclid.errors import RunAbort
 from euclid.field import Tower
 from euclid.geom import Line, intersect, point
@@ -41,17 +42,15 @@ def test_sqrt3_entry_is_test_free_and_compass_only():
     e = corpus.entry("sqrt3")
     assert e.test_free and e.compass_only
     program = e.program()
-    assert corpus.is_test_free(program)
-    assert corpus.is_loop_free(program)
-    assert corpus.is_arbitrary_free(program)
+    assert not corpus.uses(program, If, While, LetChoose, LetArbitrary)
 
 
 def test_loop_and_arbitrary_classification():
     loops = {e.name for e in corpus.entries()
-             if not corpus.is_loop_free(e.program())}
+             if corpus.uses(e.program(), While)}
     assert loops == {"compass_line_line"}
     oracles = {e.name for e in corpus.entries()
-               if not corpus.is_arbitrary_free(e.program())}
+               if corpus.uses(e.program(), LetArbitrary)}
     assert oracles == {"perp_from_point", "angle_bisector", "circle_center"}
 
 
@@ -61,6 +60,15 @@ def test_entry_verifies_as_expected(name):
     report = corpus.verify_entry(e, input_samples=5, oracle_seeds=3)
     assert report.ok, [f.message for f in report.failures[:3]]
     assert report.trials == 18
+
+
+@pytest.mark.parametrize("input_samples, oracle_seeds",
+                         [(2, 0), (2, -1), (-1, 2)])
+def test_verify_entry_rejects_counts_that_run_nothing(input_samples,
+                                                      oracle_seeds):
+    with pytest.raises(ValueError, match="oracle_seeds >= 1"):
+        corpus.verify_entry(corpus.entry("midpoint"), input_samples,
+                            oracle_seeds)
 
 
 def test_midpoint_canonical_output_is_exact():
@@ -119,7 +127,7 @@ def test_midpoint_output_is_closure_derivable_within_program_length():
     tower = Tower()
     a, b = e.canonical_inputs(tower)
     result = run(e.program(), (a, b))
-    length = e.program().count_statements()
+    length = len(e.program().body)
     verdict = derivable(result.outputs[0], [a, b],
                         budget=Budget(max_rounds=length, max_objects=5000))
     assert verdict.derivable and verdict.rounds <= length

@@ -5,13 +5,12 @@ import pytest
 from euclid.dsl import (
     ReplayOracle,
     SamplingOracle,
-    other_intersection,
     parse_program,
     recorded_answers,
     run,
 )
 from euclid.dsl.interp import RCircle, RIntersect, RLine, requests
-from euclid.errors import CheckError, DegenerateInputError, ParseError, RunAbort
+from euclid.errors import CheckError, ParseError, RunAbort
 from euclid.field import Tower
 from euclid.geom import Circle, Line, dist2, point
 from euclid.geom import intersect as geom_intersect
@@ -53,7 +52,7 @@ def tw():
 def test_midpoint_parses_to_six_statements():
     prog = parse_program(MIDPOINT)
     assert prog.name == "midpoint"
-    assert prog.count_statements() == 6
+    assert len(prog.body) == 6
     assert prog.returns == ("M",)
 
 
@@ -162,7 +161,7 @@ def test_branch_bindings_must_merge():
     with pytest.raises(CheckError, match="not always bound"):
         parse_program(text.format(""))
     prog = parse_program(text.format("else { let m = line(B, C); }"))
-    assert prog.count_statements() == 2
+    assert len(prog.body) == 2
 
 
 def test_rebinding_allowed_only_in_while(tw):
@@ -352,22 +351,6 @@ def test_intersects_test_is_total(tw):
     # c1 and c2 are the same circle under two names; the test still answers
     res = run(prog, [point(tw, 0, 0), point(tw, 1, 0)])
     assert any("intersects(c1, c2) -> True" in e.text for e in res.trace)
-
-
-def test_other_intersection(tw):
-    a, b = point(tw, 0, 0), point(tw, 2, 0)
-    c1 = Circle.centered(a, b)
-    c2 = Circle.centered(b, a)
-    p, q = geom_intersect(c1, c2)
-    assert other_intersection(p, c1, c2) == q
-    assert other_intersection(q, c1, c2) == p
-    with pytest.raises(DegenerateInputError):
-        other_intersection(a, c1, c2)
-    # tangent circles meet once; no other point exists
-    c3 = Circle.centered(point(tw, 4, 0), point(tw, 2, 0))
-    t, = geom_intersect(c1, c3)
-    with pytest.raises(DegenerateInputError):
-        other_intersection(t, c1, c3)
 
 
 def test_input_binding_styles(tw):

@@ -19,7 +19,6 @@ from euclid.game import (
     RPointInCell,
     RPointInDisk,
     Timeout,
-    UniformView,
     certificate_bob,
     check_certificate,
     play,
@@ -454,16 +453,3 @@ def test_inscribe_disk_raises_naming_its_bound():
     with pytest.raises(ResourceLimitError,
                        match=f"INSCRIBE_HALVINGS={INSCRIBE_HALVINGS}"):
         inscribe_disk(cell, q)
-
-
-def test_uniform_view_exposes_predicates_not_coordinates():
-    from euclid.game import Position
-    tw = Tower()
-    k = unit_circle(tw)
-    pos = Position([point(tw, 0, 0), point(tw, 1, 0)], [k])
-    view = UniformView(pos)
-    assert view.counts() == (2, 1)
-    assert not view.equal_points(0, 1)
-    assert view.on(1, 0)
-    assert view.side(0, 0) == -1
-    assert not hasattr(view, "points")

@@ -23,7 +23,6 @@ from euclid.net import (
     densify,
     grid_gaps,
     replay_trace,
-    restricted_alice,
     straightedge_only,
 )
 from euclid.regions import Disk, contains_closed_disk, triangle_cell
@@ -271,7 +270,7 @@ def test_restricted_alice_passes_through_disk_free_strategies():
     plain = play([a, b], [], target,
                  scripted_alice(program, [a, b]), SamplingBob(0))
     wrapped = play([a, b], [], target,
-                   restricted_alice(scripted_alice(program, [a, b])),
+                   RestrictedAlice(scripted_alice(program, [a, b])),
                    SamplingBob(0))
     assert plain.outcome == wrapped.outcome == AliceWins(6)
     assert len(plain.moves) == len(wrapped.moves)

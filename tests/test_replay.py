@@ -61,8 +61,9 @@ def test_identity_transport_breaks_nothing():
                  oracle=SamplingOracle(0))
     probe = run(parse_program(EVERY_TEST),
                 [point(tw, 0, 0), point(tw, 2, 0), point(tw, 1, 1)])
+    identity = ProjectiveMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     for result in (center, probe):
-        report = transport(result.trace, ProjectiveMap.identity())
+        report = transport(result.trace, identity)
         assert report.incidence_sound
         assert report.breakpoint is None
         assert all(not f.broken for f in report.facts)
