@@ -8,8 +8,10 @@ within budget, a game timeout, a non-constructibility finding) are
 results and exit 0; exit 1 marks failures, exit 2 usage and input
 errors, and exit 3 resource exhaustion.
 
-The environment variable EUCLID_HEIGHT_CAP overrides the default
-tower height cap for every subcommand.
+The environment variable EUCLID_HEIGHT_CAP, a nonnegative integer,
+overrides the default height cap of the tower a scene is loaded into.
+verify-corpus caps its trials at corpus.DEFAULT_HEIGHT_CAP instead,
+and wantzel builds no tower.
 """
 
 from __future__ import annotations

@@ -67,7 +67,9 @@ class _Run:
         self.target = target
         self.points: dict[Point, None] = {}     # insertion-ordered sets
         self.curves: dict[Curve, None] = {}
-        self.done_pairs: set[tuple[int, int]] = set()
+        # curves only append, so the pairs already intersected are those
+        # among the first `intersected` curves
+        self.intersected = 0
         self.trace: list[Step] = []
         self.rounds = 0
         self.found_round: int | None = None
@@ -129,17 +131,14 @@ class _Run:
                         return grew
         if "intersect" in self.ops:
             curves = list(self.curves)      # stable: dicts keep arrival order
-            n = len(curves)
-            for j in range(n):
+            for j in range(self.intersected, len(curves)):
                 for i in range(j):
-                    if (i, j) in self.done_pairs:
-                        continue
-                    self.done_pairs.add((i, j))
                     u, v = curves[i], curves[j]
                     for p in intersect(u, v):
                         grew |= self._add(p, "intersect", (u, v))
                     if self.found_round is not None:
                         return grew
+            self.intersected = len(curves)
         return grew
 
     def run(self) -> bool:

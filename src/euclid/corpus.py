@@ -413,16 +413,16 @@ def entry(name: str) -> CorpusEntry:
 def verify_entry(e: CorpusEntry,
                  input_samples: int = DEFAULT_INPUT_SAMPLES,
                  oracle_seeds: int = DEFAULT_ORACLE_SEEDS,
-                 height_cap: int = DEFAULT_HEIGHT_CAP,
                  base_seed: int = 0) -> EntryReport:
     """Replay an entry over sampled inputs crossed with oracle seeds.
 
     Input 0 is always the canonical input; the rest are drawn from the
-    entry's sampler.  Every trial runs in a fresh tower session.  A
-    trial fails when the run aborts or the postcondition returns a
-    violation; all failures are collected with their traces.  Raises
-    ValueError when oracle_seeds < 1 or input_samples < 0, since either
-    would run no trial and report a vacuous pass.
+    entry's sampler.  Every trial runs in a fresh tower session capped
+    at DEFAULT_HEIGHT_CAP.  A trial fails when the run aborts or the
+    postcondition returns a violation; all failures are collected with
+    their traces.  Raises ValueError when oracle_seeds < 1 or
+    input_samples < 0, since either would run no trial and report a
+    vacuous pass.
     """
     if oracle_seeds < 1 or input_samples < 0:
         raise ValueError(f"verify needs oracle_seeds >= 1 and "
@@ -436,7 +436,7 @@ def verify_entry(e: CorpusEntry,
         state = rng.getstate()
         for seed in range(oracle_seeds):
             rng.setstate(state)
-            tower = Tower(height_cap=height_cap)
+            tower = Tower(height_cap=DEFAULT_HEIGHT_CAP)
             if index == 0:
                 inputs = e.canonical_inputs(tower)
             else:

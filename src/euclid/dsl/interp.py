@@ -51,7 +51,7 @@ from .ast import (
 
 _COND_SIGN = {"inside": -1, "outside": 1, "pos": 1, "neg": -1}
 
-DEFAULT_MAX_STEPS = 10_000
+MAX_STEPS = 10_000      # statements one run may execute
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,6 @@ class SamplingOracle:
     """
 
     def __init__(self, seed: int = 0):
-        self.seed = seed
         self._rng = random.Random(seed)
 
     def answer(self, region, state) -> Point | None:
@@ -152,22 +151,6 @@ class ReplayOracle:
         p = self._points[self._next]
         self._next += 1
         return p
-
-
-class _State:
-    """What an oracle may see: the tower and current objects."""
-
-    def __init__(self, tower, env: dict):
-        self.tower = tower
-        self._env = env
-
-    @property
-    def points(self) -> list[Point]:
-        return [v for v in self._env.values() if isinstance(v, Point)]
-
-    @property
-    def curves(self) -> list:
-        return [v for v in self._env.values() if isinstance(v, (Line, Circle))]
 
 
 def decide(kind: str, objs) -> bool:
@@ -199,13 +182,22 @@ def build_region(env: dict, tower, expr):
 
 
 class _Run:
-    def __init__(self, env: dict, tower, max_steps: int):
+    """One run's state; an oracle sees its tower, points and curves."""
+
+    def __init__(self, env: dict):
         self.env = env
-        self.tower = tower
-        self.max_steps = max_steps
+        self.tower = _tower_of(env)
         self.steps = 0
         self.trace: list[Step] = []
         self.asking = None      # the statement the pending request is for
+
+    @property
+    def points(self) -> list[Point]:
+        return [v for v in self.env.values() if isinstance(v, Point)]
+
+    @property
+    def curves(self) -> list:
+        return [v for v in self.env.values() if isinstance(v, (Line, Circle))]
 
     def abort(self, reason: str, message: str):
         self.trace.append(Step("abort", label=f"{reason}: {message}"))
@@ -213,9 +205,9 @@ class _Run:
 
     def tick(self):
         self.steps += 1
-        if self.steps > self.max_steps:
+        if self.steps > MAX_STEPS:
             self.abort("step-budget-exhausted",
-                       f"more than {self.max_steps} statements executed")
+                       f"more than {MAX_STEPS} statements executed")
 
     def exec_block(self, stmts):
         for st in stmts:
@@ -307,7 +299,7 @@ class _Run:
                 return request.build()
             except DegenerateInputError as exc:
                 self.abort("degenerate-step", f"{self.asking}: {exc}")
-        answer = oracle.answer(request.region, _State(self.tower, self.env))
+        answer = oracle.answer(request.region, self)
         problem = answer_problem(request.region, answer, self.tower)
         if problem is not None:
             self.abort("region-scan-exhausted" if answer is None
@@ -347,29 +339,26 @@ def bind_inputs(program: Program, inputs) -> dict:
     return env
 
 
-def _tower_of(env: dict, tower):
-    for value in env.values():
-        t = value.tower
-        if tower is None:
-            tower = t
-        elif t is not tower:
-            raise ValueError("inputs from different tower sessions")
-    if tower is None:
-        raise ValueError("no inputs; pass tower= explicitly")
-    return tower
+def _tower_of(env: dict):
+    """The one tower of the inputs; a checked program has at least one,
+    since what it returns must be bound."""
+    towers = {value.tower for value in env.values()}
+    if len(towers) != 1:
+        raise ValueError("inputs from different tower sessions")
+    return towers.pop()
 
 
-def run(program: Program, inputs, oracle=None, tower=None,
-        max_steps: int = DEFAULT_MAX_STEPS) -> RunResult:
+def run(program: Program, inputs, oracle=None) -> RunResult:
     """Execute a checked program on exact inputs.
 
     inputs is a sequence in parameter order or a dict by parameter name.
     oracle answers arbitrary-point statements; the default is a
     SamplingOracle with seed 0.  Raises RunAbort (with .reason and the
-    trace so far) when the run cannot complete.
+    trace so far) when the run cannot complete, e.g. after MAX_STEPS
+    statements.
     """
     env = bind_inputs(program, inputs)
-    state = _Run(env, _tower_of(env, tower), max_steps)
+    state = _Run(env)
     if oracle is None:
         oracle = SamplingOracle(0)
     for name, value in env.items():
@@ -394,11 +383,9 @@ def requests(program: Program, inputs):
     1-tuple.  The generator checks neither: the caller meets a
     degenerate step as the DegenerateInputError of `build()` and judges
     an answer with `answer_problem`.  Raises RunAbort as `run` does for
-    the other reasons.
+    the other reasons, the MAX_STEPS step budget included.
     """
-    env = bind_inputs(program, inputs)
-    return _Run(env, _tower_of(env, None),
-                DEFAULT_MAX_STEPS).exec_block(program.body)
+    return _Run(bind_inputs(program, inputs)).exec_block(program.body)
 
 
 def recorded_answers(trace) -> list[Point]:

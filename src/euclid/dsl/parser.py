@@ -340,11 +340,10 @@ class _Parser:
         return Test(tok.kind, args, False, Pos(tok.line, tok.col))
 
 
-def parse_program(text: str, check: bool = True) -> Program:
-    """Parse (and by default statically check) a construction program."""
+def parse_program(text: str) -> Program:
+    """Parse and statically check a construction program."""
     prog = _Parser(_tokenize(text)).program()
-    if check:
-        check_program(prog)
+    check_program(prog)
     return prog
 
 

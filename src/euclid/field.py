@@ -17,8 +17,8 @@ that the root lies outside it.  The field then has degree 2**n over Q
 and the radical products form a basis, so each element has exactly one
 term map.  The search is the denesting descent at the value's own top
 radicand, then one division branch per higher radicand, cheapest first.
-When it runs out of `sqrt_search_budget` it cannot certify absence, and
-`sqrt` raises ResourceLimitError instead of extending the tower.
+When it runs out of `SQRT_SEARCH_BUDGET` steps it cannot certify absence,
+and `sqrt` raises ResourceLimitError instead of extending the tower.
 Equality and hashing are therefore structural: two elements of one
 tower are equal exactly when their numerator maps and denominators are.
 Each element computes its hash once, on the first call, and keeps it;
@@ -51,7 +51,9 @@ from .errors import (
 Num = dict[int, int]
 Terms = tuple[Num, int]         # (numerators by basis mask, denominator)
 
-DEFAULT_HEIGHT_CAP = 6
+DEFAULT_HEIGHT_CAP = 6          # radicands a Tower() may adjoin by default
+SQRT_SEARCH_BUDGET = 50_000     # steps one square-root search may take
+MAX_COEFF_BITS = 1 << 16        # bits a numerator or denominator may reach
 _START_PREC = 64
 
 
@@ -155,17 +157,23 @@ def _scale(u: Terms, n: int) -> Terms:
 class Tower:
     """A session of quadratic extensions; all elements are tied to one.
 
+    Its bounds each raise ResourceLimitError when they trip:
+    `height_cap` radicands (default: the environment variable
+    EUCLID_HEIGHT_CAP, else DEFAULT_HEIGHT_CAP; 0 allows rationals
+    only), SQRT_SEARCH_BUDGET steps per square-root search, and
+    MAX_COEFF_BITS bits per numerator or denominator.
+
     A tower is single-threaded: its radicands and caches grow unguarded.
     """
 
-    def __init__(self, height_cap: int | None = None,
-                 sqrt_search_budget: int = 50_000,
-                 max_coeff_bits: int = 1 << 16):
+    def __init__(self, height_cap: int | None = None):
         if height_cap is None:
-            height_cap = int(os.environ.get("EUCLID_HEIGHT_CAP", DEFAULT_HEIGHT_CAP))
+            text = os.environ.get("EUCLID_HEIGHT_CAP", str(DEFAULT_HEIGHT_CAP))
+            if not text.strip().isdecimal():
+                raise ValueError("EUCLID_HEIGHT_CAP must be a nonnegative "
+                                 f"integer, got {text!r}")
+            height_cap = int(text)
         self.height_cap = height_cap
-        self.sqrt_search_budget = sqrt_search_budget
-        self.max_coeff_bits = max_coeff_bits
         self._radicands: list[Terms] = []       # r_i at slot i-1
         self._rad_used: list[int] = []          # mask of the radicands r_i uses
         self._rad_inv: list[Terms] = []
@@ -181,10 +189,10 @@ class Tower:
         num, den = t
         # the shared denominator and the largest numerator bound every
         # reduced coefficient's numerator and denominator
-        cap = self.max_coeff_bits
-        if cap and num and (den.bit_length() > cap
-                            or max(num.values()).bit_length() > cap
-                            or min(num.values()).bit_length() > cap):
+        cap = MAX_COEFF_BITS
+        if num and (den.bit_length() > cap
+                    or max(num.values()).bit_length() > cap
+                    or min(num.values()).bit_length() > cap):
             raise ResourceLimitError(
                 f"coefficient size guard exceeded ({cap} bits)")
         return Constructible(self, num, den)
@@ -398,7 +406,7 @@ class Tower:
             # an uncertified radicand would break canonicity
             raise ResourceLimitError(
                 "square-root search budget exhausted "
-                f"({self.sqrt_search_budget} steps)")
+                f"({SQRT_SEARCH_BUDGET} steps)")
         num, den = t
         if not num:
             return t
@@ -453,8 +461,7 @@ class Tower:
         if s == 0:
             return self.zero
         t = x._terms
-        w = self._try_sqrt_t(t, len(self._radicands),
-                             [self.sqrt_search_budget])
+        w = self._try_sqrt_t(t, len(self._radicands), [SQRT_SEARCH_BUDGET])
         if w is None:
             used = self._used_of(x._num)
             if used.bit_count() + 1 > self.height_cap:
@@ -475,7 +482,7 @@ class Tower:
             raise ValueError("element is outside the requested sub-tower")
         if self._sign(x._num) < 0:
             return None
-        w = self._try_sqrt_t(x._terms, max_index, [self.sqrt_search_budget])
+        w = self._try_sqrt_t(x._terms, max_index, [SQRT_SEARCH_BUDGET])
         return None if w is None else self._make(w)
 
 
@@ -703,9 +710,13 @@ class Constructible:
         return (Fraction(lo >> (p - s), 1 << s),
                 Fraction(-(-hi >> (p - s)), 1 << s))
 
+    def mid(self, k: int) -> Fraction:
+        """Midpoint of the `approx(k)` interval, within 2**-k of the value."""
+        lo, hi = self.approx(k)
+        return (lo + hi) / 2
+
     def to_float(self) -> float:
-        lo, hi = self.approx(60)
-        return float((lo + hi) / 2)
+        return float(self.mid(60))
 
     # -- display -------------------------------------------------------------
 

@@ -262,13 +262,11 @@ class ScriptedAlice:
     """
 
     def __init__(self, program: Program, inputs):
-        self.program = program
         self._requests = requests(program, inputs)
-        self._started = False
 
     def __call__(self, position, moves):
-        made = moves[-1].made if self._started else None
-        self._started = True
+        # a game's first call has no moves yet
+        made = moves[-1].made if moves else None
         try:
             return self._requests.send(made)
         except StopIteration:
@@ -310,9 +308,7 @@ class RationalPlane:
             return center
         tower = center.tower
         for k in (4, 8, 16, 24, 32, 48, 64):
-            lo_x, hi_x = center.x.approx(k)
-            lo_y, hi_y = center.y.approx(k)
-            p = point(tower, (lo_x + hi_x) / 2, (lo_y + hi_y) / 2)
+            p = point(tower, center.x.mid(k), center.y.mid(k))
             if disk.contains(p):
                 return p
         return None
@@ -333,7 +329,6 @@ class CertificateBob:
 
     def __init__(self, cert: RationalPlane, seed: int = 0):
         self.cert = cert
-        self.seed = seed
         self._rng = random.Random(seed)
 
     def answer(self, region, position: Position) -> Point | None:

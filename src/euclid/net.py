@@ -32,7 +32,9 @@ from .regions import Cell, contains_closed_disk, triangle_cell
 
 DEFAULT_MAX_ITERATIONS = 96
 WALK_STEPS_PER_ITERATION = 4
-SCAFFOLD_TRIES = 24     # cell requests RestrictedAlice makes per disk
+MEDIANT_STEPS = 100_000         # mediants `axis_point` takes to land
+SCAFFOLD_TRIES = 24             # cell requests RestrictedAlice makes per disk
+TRANSLATION_BUDGET = 4000       # moves one RestrictedAlice may issue
 
 
 @dataclass
@@ -132,7 +134,6 @@ class _Frame:
         c1 = self.cross(self.line(c, d), self.l_ab)
         if a1 is None or b1 is None or c1 is None:
             raise DegenerateInputError("frame cevians do not cross the sides")
-        self.a1, self.b1, self.c1 = a1, b1, c1
         half = Fraction(1, 2)
         self.stock = {
             "ab": {Fraction(0): a, Fraction(1): b, half: c1},
@@ -226,11 +227,13 @@ class _Frame:
         if t < 0 or t > 1:
             raise ScopeError(f"axis coordinate {t} outside [0, 1]")
         walk = _MediantWalk(self, axis, self.tower.from_rational(t))
-        for _ in range(100_000):
+        for _ in range(MEDIANT_STEPS):
             walk.step()
             if walk.exact is not None:
                 return stock[walk.exact]
-        raise ResourceLimitError(f"mediant descent to {t} did not land")
+        raise ResourceLimitError(
+            f"mediant descent to {t} did not land after "
+            f"MEDIANT_STEPS={MEDIANT_STEPS} mediants")
 
     def _mediant_point(self, axis: str, lo: Fraction, hi: Fraction):
         stock = self.stock[axis]
@@ -406,22 +409,21 @@ class RestrictedAlice:
     disk.  That point is then presented to the inner strategy as if Bob
     had answered the original request.  The translation runs as one
     generator that each call resumes with the last move; once it ends
-    the strategy stops.  Raises ResourceLimitError when the translation
-    exceeds its move budget.
+    the strategy stops.  Raises ResourceLimitError when it would issue
+    more than TRANSLATION_BUDGET moves.
     """
 
-    def __init__(self, inner, translation_budget: int = 4000):
+    def __init__(self, inner):
         self.inner = inner
-        self.budget = translation_budget
+        self.budget = TRANSLATION_BUDGET
         self._position = None
         self._virtual: list[GameMove] = []
         self._requests = self._drive()
-        self._started = False
 
     def __call__(self, position, moves):
         self._position = position
-        move = moves[-1] if self._started else None
-        self._started = True
+        # a game's first call has no moves yet
+        move = moves[-1] if moves else None
         try:
             return self._requests.send(move)
         except StopIteration:
@@ -430,7 +432,9 @@ class RestrictedAlice:
     def _spend(self):
         self.budget -= 1
         if self.budget < 0:
-            raise ResourceLimitError("translation budget exceeded")
+            raise ResourceLimitError(
+                f"translation budget exceeded (TRANSLATION_BUDGET="
+                f"{TRANSLATION_BUDGET})")
 
     def _drive(self):
         while True:

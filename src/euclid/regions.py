@@ -137,20 +137,15 @@ def inscribe_disk(region: Region, q: Point):
         "halvings")
 
 
-def _approx_mid(x, k: int) -> Fraction:
-    lo, hi = x.approx(k)
-    return (lo + hi) / 2
-
-
 def _hint(region: Region) -> tuple[Fraction, Fraction]:
     """A rational anchor to center the search window on."""
     if isinstance(region, Disk):
         c = region.center
-        return _approx_mid(c.x, 20), _approx_mid(c.y, 20)
+        return c.x.mid(20), c.y.mid(20)
     for curve, sign in region.conds:
         if isinstance(curve, Circle) and sign == INSIDE:
             c = curve.center
-            return _approx_mid(c.x, 20), _approx_mid(c.y, 20)
+            return c.x.mid(20), c.y.mid(20)
     return Fraction(0), Fraction(0)
 
 

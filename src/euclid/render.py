@@ -19,6 +19,7 @@ from .geom import Circle, Line, Point
 APPROX_BITS = 20
 PLACES = 6
 SVG_WIDTH = 640
+VIEWPORT_MARGIN = 1     # padding `auto_viewport` adds on every side
 
 _TARGET_COLOR = "#d4a017"
 
@@ -34,8 +35,7 @@ def _dec(q: Fraction) -> str:
 
 
 def _mid(x) -> Fraction:
-    lo, hi = x.approx(APPROX_BITS)
-    return (lo + hi) / 2
+    return x.mid(APPROX_BITS)
 
 
 def _sqrt_floor(q: Fraction) -> Fraction:
@@ -96,13 +96,14 @@ def _coerce_box(viewport):
     return box
 
 
-def auto_viewport(trace, margin=1, extra=()):
-    """Bounding box of all trace points and circle extents, padded.
+def auto_viewport(trace, extra=()):
+    """Bounding box of all trace points and circle extents, padded by
+    VIEWPORT_MARGIN.
 
     Lines are unbounded and do not influence the box.  Raises when the
     trace holds nothing with an extent to frame.
     """
-    margin = Fraction(margin)
+    margin = Fraction(VIEWPORT_MARGIN)
     xs, ys = [], []
     objs = [o for batch, _ in _drawables(trace) for o in batch]
     for obj in list(objs) + list(extra):

@@ -150,6 +150,17 @@ def test_height_cap_env_is_respected(capsys, monkeypatch):
     assert "resource limit" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_malformed_height_cap_env_is_a_usage_error(capsys, monkeypatch,
+                                                   value):
+    monkeypatch.setenv("EUCLID_HEIGHT_CAP", value)
+    code, out, err = invoke(capsys, "run", "midpoint", AB)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: EUCLID_HEIGHT_CAP must be a nonnegative "
+                   f"integer, got {value!r}\n")
+
+
 # ---------------------------------------------------------------------------
 # closure
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import euclid.closure as closure_module
 from euclid.closure import (
     Budget,
     ClosureResult,
@@ -196,6 +197,23 @@ def test_round_two_closure_sqrt_search_steps(tw, monkeypatch):
                   budget=Budget(max_rounds=2))
     assert (len(res.points), len(res.curves)) == (391, 34)
     assert steps[0] <= 1500
+
+
+def test_each_curve_pair_is_intersected_once(tw, monkeypatch):
+    pairs = []
+    meet = closure_module.intersect
+
+    def counted(u, v):
+        pairs.append(frozenset((u, v)))
+        return meet(u, v)
+
+    monkeypatch.setattr(closure_module, "intersect", counted)
+    res = closure([point(tw, 0, 0), point(tw, 1, 0)],
+                  budget=Budget(max_rounds=2))
+    n = len(res.curves)
+    assert n > 2
+    assert len(pairs) == n * (n - 1) // 2
+    assert len(set(pairs)) == len(pairs)
 
 
 # OEIS A333944: from two points, drawing every line through two known

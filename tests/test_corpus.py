@@ -106,7 +106,7 @@ def test_compass_line_line_matches_line_intersection_exactly():
     e = corpus.entry("compass_line_line")
     tower = Tower(height_cap=32)
     inputs = e.canonical_inputs(tower)
-    result = run(e.program(), inputs, max_steps=200_000)
+    result = run(e.program(), inputs)
     a, b, c, d = inputs
     expected, = intersect(Line.through(a, b), Line.through(c, d))
     assert result.outputs[0] == expected
@@ -118,7 +118,7 @@ def test_compass_line_line_fails_honestly_with_insufficient_budget():
     tower = Tower(height_cap=32)
     inputs = corpus.entry("compass_line_line").canonical_inputs(tower)
     with pytest.raises(RunAbort) as info:
-        run(starved, inputs, max_steps=200_000)
+        run(starved, inputs)
     assert info.value.reason == "while-budget-exhausted"
 
 

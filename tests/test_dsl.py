@@ -9,6 +9,7 @@ from euclid.dsl import (
     recorded_answers,
     run,
 )
+from euclid.dsl import interp
 from euclid.dsl.interp import RCircle, RIntersect, RLine, requests
 from euclid.errors import CheckError, ParseError, RunAbort
 from euclid.field import Tower
@@ -277,10 +278,11 @@ def test_degenerate_step_aborts(tw):
     assert ei.value.reason == "degenerate-step"
 
 
-def test_step_budget(tw):
+def test_step_budget(tw, monkeypatch):
+    monkeypatch.setattr(interp, "MAX_STEPS", 3)
     prog = parse_program(MIDPOINT)
     with pytest.raises(RunAbort) as ei:
-        run(prog, [point(tw, 0, 0), point(tw, 2, 0)], max_steps=3)
+        run(prog, [point(tw, 0, 0), point(tw, 2, 0)])
     assert ei.value.reason == "step-budget-exhausted"
 
 

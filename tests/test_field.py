@@ -12,6 +12,7 @@ from euclid.errors import (
     ResourceLimitError,
     SessionMismatchError,
 )
+from euclid import field
 from euclid.field import (
     Constructible,
     Tower,
@@ -335,11 +336,12 @@ def test_sqrt_memo_is_keyed_by_elements(monkeypatch):
     assert t.height == 2
 
 
-def test_sqrt_budget_exhaustion_raises_instead_of_extending():
+def test_sqrt_budget_exhaustion_raises_instead_of_extending(monkeypatch):
     # 5 + 2*sqrt(6) is (sqrt(2) + sqrt(3))**2, but a 3-step search cannot
     # find that root; a radicand added uncertified would give the value
     # sqrt(2) + sqrt(3) two term maps that compare equal and hash apart
-    t = Tower(sqrt_search_budget=3)
+    monkeypatch.setattr(field, "SQRT_SEARCH_BUDGET", 3)
+    t = Tower()
     with pytest.raises(ResourceLimitError):
         (5 + 2 * t.from_rational(6).sqrt()).sqrt()
     assert t.height == 1
@@ -352,14 +354,14 @@ def test_sqrt_budget_exhaustion_raises_instead_of_extending():
     assert t.height == 2
 
 
-def test_sqrt_search_tries_the_cheapest_branch_first():
+def test_sqrt_search_tries_the_cheapest_branch_first(monkeypatch):
     # roots in the input's own subfield, or under a low radicand, are
     # found before any division by a higher radicand is searched
     t = Tower()
     r2 = t.from_rational(2).sqrt()
     for p in (3, 5, 7, 11, 13):
         t.from_rational(p).sqrt()
-    t.sqrt_search_budget = 8
+    monkeypatch.setattr(field, "SQRT_SEARCH_BUDGET", 8)
     assert t.from_rational(8).sqrt() == 2 * r2
     assert (3 + 2 * r2).sqrt() == 1 + r2
     assert t.height == 6
@@ -467,7 +469,11 @@ _radicand = st.tuples(st.booleans(), st.sampled_from([2, 3, 5, 6, 7]),
        rads=st.lists(_radicand, min_size=1, max_size=4),
        coeffs=st.lists(_small, min_size=6, max_size=6))
 def test_structural_equality_agrees_with_sign_descent(budget, rads, coeffs):
-    t = Tower(sqrt_search_budget=budget, height_cap=3)
+    # a function-scoped fixture would outlive the examples, so each
+    # example undoes its own patch
+    patch = pytest.MonkeyPatch()
+    patch.setattr(field, "SQRT_SEARCH_BUDGET", budget)
+    t = Tower(height_cap=3)
     pool = [t.one]
     elems = []
     try:
@@ -485,6 +491,8 @@ def test_structural_equality_agrees_with_sign_descent(budget, rads, coeffs):
         elems += pool + [a, b, (a * a).sqrt(), -a if a < 0 else a]
     except ResourceLimitError:
         return
+    finally:
+        patch.undo()
     for x in elems:
         for y in elems:
             equal = x == y
@@ -523,8 +531,9 @@ def test_sign_filter_agrees_with_sign_descent(rads, coeffs, k):
         assert (y >= 1) == (t._sign_t((y - 1)._terms) >= 0)
 
 
-def test_coefficient_size_guard():
-    t = Tower(max_coeff_bits=64)
+def test_coefficient_size_guard(monkeypatch):
+    monkeypatch.setattr(field, "MAX_COEFF_BITS", 64)
+    t = Tower()
     x = (1 + t.from_rational(2).sqrt()) / 3
     message = r"^coefficient size guard exceeded \(64 bits\)$"
     for _ in range(5):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from euclid import corpus
+from euclid import corpus, net
 from euclid.closure import Budget, closure
 from euclid.dsl.interp import run
 from euclid.errors import DegenerateInputError, ResourceLimitError, ScopeError
@@ -20,6 +20,7 @@ from euclid.game import (
 from euclid.geom import Circle, Line, Point, Step, dist2, point
 from euclid.net import (
     RestrictedAlice,
+    _Frame,
     densify,
     grid_gaps,
     replay_trace,
@@ -133,6 +134,15 @@ def test_densify_iteration_cap_raises():
     target = Point(tw.from_rational(2).sqrt(), tw.from_rational(1))
     with pytest.raises(ResourceLimitError):
         densify(a, b, c, d, target, Fraction(1, 2 ** 40), max_iterations=2)
+
+
+def test_axis_point_names_its_mediant_bound(monkeypatch):
+    monkeypatch.setattr(net, "MEDIANT_STEPS", 1)
+    frame = _Frame(*scaffold(Tower()))
+    with pytest.raises(ResourceLimitError,
+                       match=r"^mediant descent to 5/13 did not land "
+                             r"after MEDIANT_STEPS=1 mediants$"):
+        frame.axis_point("ab", Fraction(5, 13))
 
 
 def test_grid_gaps_start_exact_and_shrink_monotonically():
@@ -276,7 +286,8 @@ def test_restricted_alice_passes_through_disk_free_strategies():
     assert len(plain.moves) == len(wrapped.moves)
 
 
-def test_restricted_alice_translation_budget_error():
+def test_restricted_alice_translation_budget_error(monkeypatch):
+    monkeypatch.setattr(net, "TRANSLATION_BUDGET", 3)
     tw = Tower()
     p0, p1 = point(tw, 0, 0), point(tw, 1, 0)
 
@@ -284,7 +295,9 @@ def test_restricted_alice_translation_budget_error():
         return RPointInDisk(Disk(point(tw, Fraction(1, 2), Fraction(1, 4)),
                                  tw.from_rational(Fraction(1, 16))))
 
-    alice = RestrictedAlice(inner, translation_budget=3)
-    with pytest.raises(ResourceLimitError):
+    alice = RestrictedAlice(inner)
+    with pytest.raises(ResourceLimitError,
+                       match=r"^translation budget exceeded "
+                             r"\(TRANSLATION_BUDGET=3\)$"):
         play([p0, p1], [], point(tw, 99, 99), alice, SamplingBob(1),
              max_moves=50)

@@ -14,7 +14,8 @@ from pathlib import Path
 
 from euclid import field, geom
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import tracer  # noqa: E402
 
@@ -36,3 +37,19 @@ def test_benchmark_workloads_import():
     workloads = importlib.import_module("workloads")
     assert set(workloads.WORKLOADS) == {"corpus", "closure", "game",
                                         "densify"}
+
+
+def test_benchmark_ops_run_and_check(monkeypatch):
+    # one op of each kind per workload, so a signature change an op
+    # depends on fails here rather than in every benchmark run
+    monkeypatch.chdir(ROOT)         # workloads read configs/ relatively
+    workloads = importlib.import_module("workloads")
+    ran = 0
+    for name, make in workloads.WORKLOADS.items():
+        first = {}
+        for op in make(0).ops:
+            first.setdefault(op.kind, op)
+        for kind, op in first.items():
+            assert op.check(op.run()) is None, f"{name} {kind}"
+            ran += 1
+    assert ran == 45

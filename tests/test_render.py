@@ -7,6 +7,7 @@ from euclid.dsl import run
 from euclid.errors import DegenerateInputError
 from euclid.field import Tower
 from euclid.geom import point
+from euclid import render
 from euclid.render import _dec, auto_viewport, render_svg
 
 BOX = (-4, -4, 4, 4)
@@ -95,10 +96,10 @@ def test_auto_viewport_covers_circle_extents():
     assert ymin <= -2 - 1 and ymax >= 2 + 1
 
 
-def test_auto_viewport_extra_points_and_margin():
+def test_auto_viewport_extra_points_and_margin(monkeypatch):
+    monkeypatch.setattr(render, "VIEWPORT_MARGIN", Fraction(1, 2))
     tw = Tower()
-    box = auto_viewport([], margin=Fraction(1, 2),
-                        extra=[point(tw, 10, -10)])
+    box = auto_viewport([], extra=[point(tw, 10, -10)])
     assert box == (Fraction(19, 2), Fraction(-21, 2),
                    Fraction(21, 2), Fraction(-19, 2))
 
