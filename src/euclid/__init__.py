@@ -16,8 +16,7 @@ Subpackages and modules:
 - `game`: the adversarial construction game with strategies, sampling
   and certificate adversaries, and certificate checking.
 - `net`: straightedge-only densification through harmonic conjugates,
-  grid gap measurement, and the replay that re-derives run, closure and
-  densify traces.
+  and the replay that re-derives run, closure and densify traces.
 - `algebra`: integer polynomials and the power-of-two degree criterion
   for non-constructibility.
 - `replay`: transport of recorded traces under projective maps and the

@@ -11,14 +11,19 @@ ships the stock impossibility presets.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, ReduciblePolynomialError, ScopeError
+from .errors import (ParseError, ReduciblePolynomialError, ResourceLimitError,
+                     ScopeError)
 
 _PIECES = re.compile(r"[+-]?[^+-]+")
 _TERM = re.compile(r"([+-]?)(\d+)?(?:(x)(?:\^(\d+))?)?")
+
+MAX_DEGREE = 64                 # highest degree `IntPoly.parse` accepts
+ROOT_SEARCH_BUDGET = 100_000    # trial divisions plus candidate checks
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,9 @@ class IntPoly:
                 power = 1
             terms[power] = terms.get(power, 0) + coef
         degree = max((p for p, c in terms.items() if c != 0), default=0)
+        if degree > MAX_DEGREE:
+            raise ScopeError(
+                f"degree {degree} exceeds MAX_DEGREE={MAX_DEGREE}")
         return cls(tuple(terms.get(p, 0) for p in range(degree + 1)))
 
     @property
@@ -117,7 +125,8 @@ def rational_roots(p: IntPoly) -> list[Fraction]:
 
     Candidates are num/den with num dividing the trailing coefficient
     and den dividing the leading one; each is checked by exact
-    evaluation.  Zero roots are stripped first.
+    evaluation.  Zero roots are stripped first.  Raises
+    ResourceLimitError when the search would pass ROOT_SEARCH_BUDGET.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every rational as a root")
@@ -128,8 +137,18 @@ def rational_roots(p: IntPoly) -> list[Fraction]:
         coeffs.pop(0)
     if len(coeffs) > 1:
         body = IntPoly(tuple(coeffs))
-        for num in _divisors(coeffs[0]):
-            for den in _divisors(coeffs[-1]):
+        # trial divisions up to each square root, two candidates per pair
+        left = ROOT_SEARCH_BUDGET - math.isqrt(abs(coeffs[0])) \
+            - math.isqrt(abs(coeffs[-1]))
+        if left >= 0:
+            nums, dens = _divisors(coeffs[0]), _divisors(coeffs[-1])
+            left -= 2 * len(nums) * len(dens)
+        if left < 0:
+            raise ResourceLimitError(
+                "rational root search exceeds "
+                f"ROOT_SEARCH_BUDGET={ROOT_SEARCH_BUDGET} steps")
+        for num in nums:
+            for den in dens:
                 for cand in (Fraction(num, den), Fraction(-num, den)):
                     if body.evaluate(cand) == 0:
                         roots.add(cand)
@@ -194,15 +213,6 @@ def trisection_poly(c) -> IntPoly:
         raise ValueError(f"{c} is not the cosine of an angle")
     den = c.denominator
     return IntPoly((-c.numerator, -3 * den, 0, 4 * den))
-
-
-def height_degree_report(x) -> tuple[int, int]:
-    """Height of an element and the degree of its rational polynomial.
-
-    The degree is 2 to the height: the product of X - x over all sign
-    flips of the element's radicals has rational coefficients.
-    """
-    return x.height, len(x.char_poly()) - 1
 
 
 PRESETS = {

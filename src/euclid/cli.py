@@ -30,10 +30,10 @@ from .dsl.parser import parse_program
 from .errors import (CheckError, DegenerateInputError, ParseError, RangeError,
                      ReduciblePolynomialError, ResourceLimitError, RunAbort,
                      ScopeError)
-from .game import (Aborted, AliceWins, CertificateBob, Timeout, play,
-                   rational_certificate, scripted_alice)
+from .game import (DEFAULT_MAX_MOVES, AliceWins, CertificateBob, Timeout,
+                   play, rational_certificate, scripted_alice)
 from .geom import Circle, Line, Point, point
-from .net import densify
+from .net import DEFAULT_MAX_ITERATIONS, densify
 from .render import _dec, _mid, auto_viewport, render_svg
 
 
@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--rounds", type=_count, required=True)
     p.add_argument("--target", help="ask whether this object appears")
-    p.add_argument("--max-objects", type=_count, default=5000)
+    p.add_argument("--max-objects", type=_count, default=Budget.max_objects)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_closure)
 
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="corpus:entry or script:program-file")
     p.add_argument("--bob", required=True,
                    help="sampling:seed or certificate:rational-plane")
-    p.add_argument("--max-moves", type=_count, default=50)
+    p.add_argument("--max-moves", type=_count, default=DEFAULT_MAX_MOVES)
     p.add_argument("--transcript", action="store_true",
                    help="print every move before the outcome")
     p.add_argument("--json", action="store_true")
@@ -401,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--eps", required=True,
                    help="rational distance bound, e.g. 1/64")
-    p.add_argument("--max-iterations", type=_count, default=96)
+    p.add_argument("--max-iterations", type=_count,
+                   default=DEFAULT_MAX_ITERATIONS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_densify)
 

@@ -459,8 +459,8 @@ def verify_entry(e: CorpusEntry,
 
 def verify_corpus(input_samples: int = DEFAULT_INPUT_SAMPLES,
                   oracle_seeds: int = DEFAULT_ORACLE_SEEDS,
-                  names=None, **kwargs) -> dict[str, EntryReport]:
+                  names=None) -> dict[str, EntryReport]:
     """Verify selected entries (default all), in registry order."""
     selected = CORPUS if names is None else tuple(entry(n) for n in names)
-    return {e.name: verify_entry(e, input_samples, oracle_seeds, **kwargs)
+    return {e.name: verify_entry(e, input_samples, oracle_seeds)
             for e in selected}

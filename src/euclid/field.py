@@ -30,9 +30,7 @@ positive, so each basis monomial is a positive real bounded by rounded
 integer square roots of its radicands' own enclosures.  The precision p
 doubles from 64 until the enclosure excludes 0, which it must do, since
 a nonempty term map in a canonical tower is a nonzero real.  `approx`
-reads its dyadic intervals from the same enclosures.  The squaring
-descent `Tower._sign_t` decides signs by exact arithmetic alone; it is
-kept as the reference the tests check the enclosures against.
+reads its dyadic intervals from the same enclosures.
 """
 
 from __future__ import annotations
@@ -216,9 +214,6 @@ class Tower:
         # it passed the coefficient guard before `_sqrt` stored it
         return Constructible(self, *self._radicands[i - 1])
 
-    def radicands(self) -> list["Constructible"]:
-        return [self.radicand(i) for i in range(1, len(self._radicands) + 1)]
-
     def _used_of(self, num: Num) -> int:
         """Mask of the radicands the map uses, directly or inside others."""
         m = 0
@@ -282,28 +277,6 @@ class Tower:
             rest ^= low
         self._monos[(common, sym)] = m
         return m
-
-    def _sign_t(self, t: Terms) -> int:
-        """Sign by the exact squaring descent: the reference for `_sign`."""
-        num = t[0]
-        if not num:
-            return 0
-        h = _top(num)
-        if h == 0:
-            return 1 if num[0] > 0 else -1
-        a, b = _split(t, h)
-        sa = self._sign_t(a)
-        sb = self._sign_t(b)
-        if sb == 0:
-            return sa
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        # opposite signs: compare a^2 against b^2 * r_h
-        d = _sub_t(self._mul_t(a, a),
-                   self._mul_t(self._mul_t(b, b), self._radicands[h - 1]))
-        return sa * self._sign_t(d)
 
     def _inv_t(self, t: Terms) -> Terms:
         num, den = t
@@ -475,16 +448,6 @@ class Tower:
         self._sqrt_memo[x] = res
         return res
 
-    def _try_sqrt(self, x: "Constructible", max_index: int | None) -> "Constructible | None":
-        if max_index is None:
-            max_index = len(self._radicands)
-        if _top(x._num) > max_index:
-            raise ValueError("element is outside the requested sub-tower")
-        if self._sign(x._num) < 0:
-            return None
-        w = self._try_sqrt_t(x._terms, max_index, [SQRT_SEARCH_BUDGET])
-        return None if w is None else self._make(w)
-
 
 class Constructible:
     """An element of a tower session.  Immutable; arithmetic via operators."""
@@ -640,7 +603,7 @@ class Constructible:
             self._hash = h
         return h
 
-    # -- roots, polynomials, enclosures --------------------------------------
+    # -- roots and enclosures ------------------------------------------------
 
     def sqrt(self) -> "Constructible":
         """Exact square root; extends the tower only when it has to.
@@ -648,40 +611,6 @@ class Constructible:
         Raises ResourceLimitError when the search budget or the height
         cap runs out before the root is found or adjoined."""
         return self.tower._sqrt(self)
-
-    def try_sqrt_in_field(self, max_index: int | None = None) -> "Constructible | None":
-        """Square root within the first `max_index` radicands, else None.
-
-        Raises ResourceLimitError when the search budget runs out."""
-        return self.tower._try_sqrt(self, max_index)
-
-    def char_poly(self) -> list[int]:
-        """Integer coefficients (ascending) of the product of X - x over all
-        2^height sign flips of the radicals x uses.  The element is a root."""
-        tw = self.tower
-        used = tw._used_of(self._num)
-        if used.bit_count() > tw.height_cap:
-            raise ResourceLimitError(
-                f"char_poly on height {used.bit_count()} exceeds cap {tw.height_cap}")
-        poly: list[Terms] = [_neg_t(self._terms), ({0: 1}, 1)]
-        for h in reversed(_indices(used)):
-            halves = [_split(c, h) for c in poly]
-            a_poly = [a for a, _ in halves]
-            b_poly = [b for _, b in halves]
-            aa = _poly_mul(tw, a_poly, a_poly)
-            bb = _poly_mul(tw, b_poly, b_poly)
-            r = tw._radicands[h - 1]
-            poly = [_sub_t(x, tw._mul_t(y, r)) for x, y in zip(aa, bb)]
-        if any(_top(num) for num, _ in poly):
-            raise AssertionError("descent left a radical coefficient")
-        denom = math.lcm(*(den for _, den in poly))
-        ints = [num.get(0, 0) * (denom // den) for num, den in poly]
-        g = math.gcd(*ints)
-        if g:
-            ints = [c // g for c in ints]
-        if ints[-1] < 0:
-            ints = [-c for c in ints]
-        return ints
 
     def approx(self, k: int) -> tuple[Fraction, Fraction]:
         """Dyadic interval of width <= 2**-k containing the exact value.
@@ -829,17 +758,3 @@ def _parse_atom(lx: _Lexer, tw: Tower) -> Constructible:
         lx.take()
         return tw.from_rational(int(t))
     raise ParseError(f"unexpected {t!r} in number literal", col=lx.pos)
-
-
-
-# -- polynomial helpers over term pairs --------------------------------------
-
-def _poly_mul(tw: Tower, p: list[Terms], q: list[Terms]) -> list[Terms]:
-    out: list[Terms] = [({}, 1)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a[0]:
-            continue
-        for j, b in enumerate(q):
-            if b[0]:
-                out[i + j] = _add_t(out[i + j], tw._mul_t(a, b))
-    return out

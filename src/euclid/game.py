@@ -16,11 +16,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closure import ALL_OPS, Budget, expand_once
+from .closure import Budget, expand_once
 from .dsl.ast import Program
 from .dsl.interp import (
     RCircle,
-    Request,
     RIntersect,
     RLine,
     RPointInCell,
@@ -31,12 +30,11 @@ from .dsl.interp import (
 )
 from .errors import DegenerateInputError, RunAbort
 from .geom import Circle, Line, Point, fmt, point
-from .regions import Cell, Disk, inscribe_disk, sample_point
+from .regions import Cell, Disk
 
 STRAIGHTEDGE_OPS = frozenset({"line", "intersect"})
 
 DEFAULT_MAX_MOVES = 50
-BOB_TRIES = 32          # sub-disks a CertificateBob draws per request
 SUBSET_SAMPLES = 4      # member sets check_certificate closes once
 SUBSET_SIZE = 2         # points in each of those sets
 
@@ -293,8 +291,8 @@ class RationalPlane:
     A candidate dense closed superset excluding a target: dense, closed
     under straightedge steps, but not under compass crossings, whose
     coordinates can need a square root.  `contains` decides membership
-    exactly on tower objects; `enumerate_in_disk` returns a member point
-    strictly inside a given disk, or None when it fails.
+    exactly on tower objects; `enumerate_in_disk` returns the center of
+    a disk when it is rational, a member strictly inside, else None.
     """
 
     name = "rational-plane"
@@ -303,51 +301,28 @@ class RationalPlane:
         return obj.height == 0
 
     def enumerate_in_disk(self, disk: Disk) -> Point | None:
-        center = disk.center
-        if center.height == 0:
-            return center
-        tower = center.tower
-        for k in (4, 8, 16, 24, 32, 48, 64):
-            p = point(tower, center.x.mid(k), center.y.mid(k))
-            if disk.contains(p):
-                return p
-        return None
+        return disk.center if disk.center.height == 0 else None
 
 
 def rational_certificate() -> RationalPlane:
     return RationalPlane()
 
 
-class CertificateBob:
+class CertificateBob(SamplingOracle):
     """Adversary answering every point request with a cert member.
 
-    A disk inscribed in the requested region is found by seeded
-    sampling, then the certificate's enumerator picks a member inside
-    it; sub-disks are re-drawn, up to BOB_TRIES times, until the member
-    is new to the position.
+    It runs the sampling scan from its seed and answers the point found
+    when the certificate contains it, else None.  The scan's points are
+    rational, so the rational plane keeps every one of them.
     """
 
     def __init__(self, cert: RationalPlane, seed: int = 0):
+        super().__init__(seed)
         self.cert = cert
-        self._rng = random.Random(seed)
 
     def answer(self, region, position: Position) -> Point | None:
-        tower = position.tower
-        for _ in range(BOB_TRIES):
-            q = sample_point(tower, region, self._rng,
-                             avoid_points=position.points,
-                             avoid_curves=position.curves)
-            if q is None:
-                return None
-            p = self.cert.enumerate_in_disk(Disk(q, inscribe_disk(region, q)))
-            if p is None:
-                continue
-            if position.contains(p):
-                continue
-            if any(c.contains(p) for c in position.curves):
-                continue
-            return p
-        return None
+        p = super().answer(region, position)
+        return p if p is not None and self.cert.contains(p) else None
 
 
 def certificate_bob(cert: RationalPlane, seed: int = 0) \

@@ -505,11 +505,3 @@ class ProjectiveMap:
                 if qp[i][j] != lam * q[i][j]:
                     return False
         return True
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjectiveMap):
-            return NotImplemented
-        return self.m == other.m
-
-    def __repr__(self):
-        return f"ProjectiveMap({self.m!r})"

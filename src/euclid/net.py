@@ -7,11 +7,10 @@ by iterated harmonic conjugates, each built from lines and
 intersections only.  One mediant descent (`_MediantWalk`) reaches every
 axis point: `densify` walks it on the two frame axes toward a target and
 assembles a derivable point within a requested distance, returning the
-full construction trace; `grid_gaps` measures the exact mesh of the
-derivable grid per refinement level; and `RestrictedAlice` uses the same
-machinery to translate disk requests of a game strategy into cell
-requests (a triangle's interior is `regions.triangle_cell`) plus
-construction moves.
+full construction trace.  `RestrictedAlice` uses the same machinery
+to translate disk requests of a game strategy into cell requests (a
+triangle's interior is `regions.triangle_cell`) plus construction
+moves.
 
 `replay_trace` re-derives a trace of `geom.Step` records from its
 initial objects, whichever engine wrote it: a run, a closure or a
@@ -367,35 +366,6 @@ def densify(a: Point, b: Point, c: Point, d: Point, target: Point, eps,
     raise ResourceLimitError(
         f"densify did not reach eps={eps} within {max_iterations} "
         "iterations")
-
-
-def grid_gaps(a: Point, b: Point, c: Point, d: Point, levels: int):
-    """Exact squared mesh of the derivable frame grid per level.
-
-    Level n images the dyadic simplex lattice of step 2^-n; the gap is
-    the largest edge of any lattice cell, squared.  Refining splits
-    every cell into four inside it, so the sequence is nonincreasing.
-    """
-    _require_scaffold(a, b, c, d)
-    frame = _Frame(a, b, c, d)
-    gaps = []
-    for n in range(levels + 1):
-        size = 1 << n
-        pts = {}
-        for i in range(size + 1):
-            for j in range(size + 1 - i):
-                pts[i, j] = frame.from_frame(Fraction(i, size),
-                                             Fraction(j, size))
-        worst = None
-        for i in range(size + 1):
-            for j in range(size - i):
-                corners = (pts[i, j], pts[i + 1, j], pts[i, j + 1])
-                for s in range(3):
-                    d2 = dist2(corners[s], corners[(s + 1) % 3])
-                    if worst is None or (d2 - worst).sign() > 0:
-                        worst = d2
-        gaps.append(worst)
-    return gaps
 
 
 class RestrictedAlice:

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateInputError, ResourceLimitError
+from .errors import DegenerateInputError
 from .geom import Circle, Line, Point, dist2, point
 
 INSIDE = -1
@@ -93,8 +93,6 @@ def contains_closed_disk(region: Region, q: Point, rho2) -> bool:
 
     rho2 may be zero, in which case this is plain membership of q.
     """
-    if isinstance(rho2, (int, Fraction)):
-        rho2 = q.tower.from_rational(rho2)
     if rho2.sign() < 0:
         raise ValueError("negative squared radius")
     if isinstance(region, Disk):
@@ -114,27 +112,6 @@ def contains_closed_disk(region: Region, q: Point, rho2) -> bool:
             if not _sqrt_sum_below(near, rho2, far):
                 return False
     return True
-
-
-INSCRIBE_HALVINGS = 200
-
-
-def inscribe_disk(region: Region, q: Point):
-    """A positive rational rho2 whose closed disk around q fits.
-
-    q must lie strictly inside the region; the squared radius starts at 1
-    and halves until the exact fit test passes.  Raises
-    ResourceLimitError after INSCRIBE_HALVINGS halvings.
-    """
-    rho2 = q.tower.from_rational(1)
-    half = q.tower.from_rational(Fraction(1, 2))
-    for _ in range(INSCRIBE_HALVINGS):
-        if contains_closed_disk(region, q, rho2):
-            return rho2
-        rho2 = rho2 * half
-    raise ResourceLimitError(
-        f"no disk around q fits after INSCRIBE_HALVINGS={INSCRIBE_HALVINGS} "
-        "halvings")
 
 
 def _hint(region: Region) -> tuple[Fraction, Fraction]:

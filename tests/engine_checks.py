@@ -1,0 +1,104 @@
+"""Reference checks that only the tests run against the engine.
+
+Each check computes on the engine's own term kernels and frames, so it
+exercises the code it checks: the squaring sign descent is the
+reference for the enclosure filter `Tower._sign`, the characteristic
+polynomial certifies an element's degree, and the grid gaps measure
+how fine the straightedge-derivable grid of `net._Frame` gets.
+"""
+
+import math
+from fractions import Fraction
+
+from euclid.field import _add_t, _indices, _neg_t, _split, _sub_t, _top
+from euclid.geom import dist2
+from euclid.net import _Frame, _require_scaffold
+
+
+def sign_t(tw, t) -> int:
+    """Sign of the term pair t of tower tw by the exact squaring
+    descent, with no enclosure."""
+    num = t[0]
+    if not num:
+        return 0
+    h = _top(num)
+    if h == 0:
+        return 1 if num[0] > 0 else -1
+    a, b = _split(t, h)
+    sa = sign_t(tw, a)
+    sb = sign_t(tw, b)
+    if sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    if sa == sb:
+        return sa
+    # opposite signs: compare a^2 against b^2 * r_h
+    d = _sub_t(tw._mul_t(a, a),
+               tw._mul_t(tw._mul_t(b, b), tw._radicands[h - 1]))
+    return sa * sign_t(tw, d)
+
+
+def _poly_mul(tw, p, q):
+    out = [({}, 1)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if not a[0]:
+            continue
+        for j, b in enumerate(q):
+            if b[0]:
+                out[i + j] = _add_t(out[i + j], tw._mul_t(a, b))
+    return out
+
+
+def char_poly(x) -> list[int]:
+    """Integer coefficients (ascending) of the product of X - x over all
+    2^height sign flips of the radicals x uses.  The element is a root."""
+    tw = x.tower
+    poly = [_neg_t(x._terms), ({0: 1}, 1)]
+    for h in reversed(_indices(tw._used_of(x._num))):
+        halves = [_split(c, h) for c in poly]
+        a_poly = [a for a, _ in halves]
+        b_poly = [b for _, b in halves]
+        aa = _poly_mul(tw, a_poly, a_poly)
+        bb = _poly_mul(tw, b_poly, b_poly)
+        r = tw._radicands[h - 1]
+        poly = [_sub_t(u, tw._mul_t(v, r)) for u, v in zip(aa, bb)]
+    if any(_top(num) for num, _ in poly):
+        raise AssertionError("descent left a radical coefficient")
+    denom = math.lcm(*(den for _, den in poly))
+    ints = [num.get(0, 0) * (denom // den) for num, den in poly]
+    g = math.gcd(*ints)
+    if g:
+        ints = [c // g for c in ints]
+    if ints[-1] < 0:
+        ints = [-c for c in ints]
+    return ints
+
+
+def grid_gaps(a, b, c, d, levels: int):
+    """Exact squared mesh of the derivable frame grid per level.
+
+    Level n images the dyadic simplex lattice of step 2^-n; the gap is
+    the largest edge of any lattice cell, squared.  Refining splits
+    every cell into four inside it, so the sequence is nonincreasing.
+    """
+    _require_scaffold(a, b, c, d)
+    frame = _Frame(a, b, c, d)
+    gaps = []
+    for n in range(levels + 1):
+        size = 1 << n
+        pts = {}
+        for i in range(size + 1):
+            for j in range(size + 1 - i):
+                pts[i, j] = frame.from_frame(Fraction(i, size),
+                                             Fraction(j, size))
+        worst = None
+        for i in range(size + 1):
+            for j in range(size - i):
+                corners = (pts[i, j], pts[i + 1, j], pts[i, j + 1])
+                for s in range(3):
+                    d2 = dist2(corners[s], corners[(s + 1) % 3])
+                    if worst is None or (d2 - worst).sign() > 0:
+                        worst = d2
+        gaps.append(worst)
+    return gaps

@@ -8,14 +8,15 @@ from euclid.algebra import (
     NecessaryConditionHolds,
     NotConstructible,
     PRESETS,
-    height_degree_report,
     preset,
     rational_roots,
     trisection_poly,
     wantzel_check,
 )
-from euclid.errors import ParseError, ReduciblePolynomialError, ScopeError
+from euclid.errors import (ParseError, ReduciblePolynomialError,
+                           ResourceLimitError, ScopeError)
 from euclid.field import Tower
+from engine_checks import char_poly
 
 
 def test_parse_standard_literals():
@@ -51,6 +52,24 @@ def test_rational_roots_examples():
         Fraction(1, 3), Fraction(1, 2)]
     with pytest.raises(ValueError):
         rational_roots(IntPoly((0,)))
+
+
+def test_rational_root_search_names_its_bound():
+    # 720720 has 240 divisors, so 2 * 240 * 240 = 115,200 candidates;
+    # x^3 - 10000000019 needs 100,001 trial divisions before any
+    # candidate
+    for text in ("720720x^3 + x + 720720", "x^3 - 10000000019"):
+        with pytest.raises(ResourceLimitError,
+                           match=r"^rational root search exceeds "
+                                 r"ROOT_SEARCH_BUDGET=100000 steps$"):
+            rational_roots(IntPoly.parse(text))
+
+
+def test_parse_names_its_degree_bound():
+    assert IntPoly.parse("x^64 + 1").degree == 64
+    with pytest.raises(ScopeError,
+                       match=r"^degree 65 exceeds MAX_DEGREE=64$"):
+        IntPoly.parse("x^65 + 1")
 
 
 def test_rational_roots_divide_exactly():
@@ -137,10 +156,11 @@ def test_engine_elements_are_never_roots_of_impossible_polys():
 
 
 def test_height_degree_report():
+    # an element's rational polynomial has degree 2 to its height
     tw = Tower()
-    assert height_degree_report(tw.from_rational(1)) == (0, 1)
     s3 = tw.from_rational(3).sqrt() / tw.from_rational(2)
-    assert height_degree_report(s3) == (1, 2)
     mixed = tw.from_rational(2).sqrt() + tw.from_rational(3).sqrt()
-    assert height_degree_report(mixed) == (2, 4)
-    assert mixed.char_poly() == [1, 0, -10, 0, 1]
+    for x, height in ((tw.from_rational(1), 0), (s3, 1), (mixed, 2)):
+        assert x.height == height
+        assert len(char_poly(x)) - 1 == 2 ** height
+    assert char_poly(mixed) == [1, 0, -10, 0, 1]

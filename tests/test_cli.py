@@ -3,10 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from euclid.cli import main
+from euclid.cli import build_parser, main
+from euclid.closure import Budget
 from euclid.corpus import entry
 from euclid.dsl import recorded_answers, run
 from euclid.field import Tower
+from euclid.game import DEFAULT_MAX_MOVES
+from euclid.net import DEFAULT_MAX_ITERATIONS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 AB = str(CONFIGS / "ab.cfg")
@@ -58,6 +61,16 @@ def test_wantzel_json(capsys):
     assert doc["verdict"] == "NotConstructible"
     assert doc["degree"] == 3
     assert doc["polynomial"] == "8x^3 - 6x - 1"
+
+
+@pytest.mark.parametrize("polynomial, code, err", [
+    ("x^65 + 1", 2, "error: degree 65 exceeds MAX_DEGREE=64\n"),
+    ("720720x^3 + x + 720720", 3,
+     "resource limit: rational root search exceeds "
+     "ROOT_SEARCH_BUDGET=100000 steps\n"),
+], ids=["degree", "root-search"])
+def test_wantzel_bounds_name_themselves(capsys, polynomial, code, err):
+    assert invoke(capsys, "wantzel", polynomial) == (code, "", err)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +435,16 @@ def test_negative_budgets_are_usage_errors(capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}: must be >= 0" in captured.err
+
+
+def test_budget_flag_defaults_are_the_library_bounds():
+    parse = build_parser().parse_args
+    assert parse(["closure", AB, "--rounds", "1"]).max_objects == \
+        Budget.max_objects
+    assert parse(["game", AB, "--target", "M", "--alice", "corpus:midpoint",
+                  "--bob", "sampling:0"]).max_moves == DEFAULT_MAX_MOVES
+    assert parse(["densify", DENSIFY, "--target", "T", "--eps", "1/64"]
+                 ).max_iterations == DEFAULT_MAX_ITERATIONS
 
 
 def test_budget_flags_keep_the_int_message(capsys):

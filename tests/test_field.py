@@ -25,6 +25,7 @@ from euclid.field import (
     _sub_t,
     _top,
 )
+from engine_checks import char_poly, sign_t
 
 
 def test_rational_basics():
@@ -93,12 +94,12 @@ def test_char_poly_frozen_values():
     t = Tower()
     r2 = t.from_rational(2).sqrt()
     r3 = t.from_rational(3).sqrt()
-    assert t.from_rational(Fraction(3, 2)).char_poly() == [-3, 2]
-    assert r2.char_poly() == [-2, 0, 1]
-    assert (r2 + r3).char_poly() == [1, 0, -10, 0, 1]
-    assert t.zero.char_poly() == [0, 1]
+    assert char_poly(t.from_rational(Fraction(3, 2))) == [-3, 2]
+    assert char_poly(r2) == [-2, 0, 1]
+    assert char_poly(r2 + r3) == [1, 0, -10, 0, 1]
+    assert char_poly(t.zero) == [0, 1]
     golden = t.parse("(1+sqrt(5))/2")
-    assert golden.char_poly() == [-1, -1, 1]
+    assert char_poly(golden) == [-1, -1, 1]
 
 
 def test_char_poly_degree_is_two_to_height():
@@ -107,7 +108,7 @@ def test_char_poly_degree_is_two_to_height():
     x = (x + 1).sqrt()
     x = (x + 3).sqrt()
     assert x.height == 3
-    p = x.char_poly()
+    p = char_poly(x)
     assert len(p) - 1 == 8
     # the element really is a root
     acc = t.zero
@@ -176,16 +177,21 @@ def test_approx_of_exact_dyadic():
     assert lo <= 0 <= hi
 
 
+def _root_in(x, m):
+    """The engine's in-field root search over the first m radicands."""
+    return x.tower._try_sqrt_t(x._terms, m, [field.SQRT_SEARCH_BUDGET])
+
+
 def test_try_sqrt_in_field():
     t = Tower()
     r2 = t.from_rational(2).sqrt()
     r3 = t.from_rational(3).sqrt()
-    assert t.from_rational(4).try_sqrt_in_field() == 2
-    assert (3 + 2 * r2).try_sqrt_in_field() == 1 + r2
-    assert t.from_rational(5).try_sqrt_in_field() is None
+    assert _root_in(t.from_rational(4), 2) == t.from_rational(2)._terms
+    assert _root_in(3 + 2 * r2, 2) == (1 + r2)._terms
+    assert _root_in(t.from_rational(5), 2) is None
     # restricting the sub-tower hides later radicands
-    assert t.from_rational(3).try_sqrt_in_field(max_index=1) is None
-    assert t.from_rational(3).try_sqrt_in_field(max_index=2) == r3
+    assert _root_in(t.from_rational(3), 1) is None
+    assert _root_in(t.from_rational(3), 2) == r3._terms
     assert t.height == 2
 
 
@@ -196,8 +202,8 @@ def test_radicands_stay_canonical():
     t.from_rational(6).sqrt()
     x = (1 + t.from_rational(2).sqrt()).sqrt()
     (x + 5).sqrt()
-    for i, r in enumerate(t.radicands(), start=1):
-        assert r.try_sqrt_in_field(max_index=i - 1) is None
+    for i in range(1, t.height + 1):
+        assert _root_in(t.radicand(i), i - 1) is None
 
 
 def _random_element(t, rng, pool):
@@ -347,7 +353,7 @@ def test_sqrt_budget_exhaustion_raises_instead_of_extending(monkeypatch):
     assert t.height == 1
     with pytest.raises(ResourceLimitError,
                        match="square-root search budget exhausted") as ei:
-        (5 + 2 * t.from_rational(6).sqrt()).try_sqrt_in_field()
+        _root_in(5 + 2 * t.from_rational(6).sqrt(), t.height)
     assert "(3 steps)" in str(ei.value)
     assert t.height == 1
     t.from_rational(2).sqrt()
@@ -496,7 +502,7 @@ def test_structural_equality_agrees_with_sign_descent(budget, rads, coeffs):
     for x in elems:
         for y in elems:
             equal = x == y
-            assert equal == (t._sign_t((x - y)._terms) == 0)
+            assert equal == (sign_t(t, (x - y)._terms) == 0)
             if equal:
                 assert hash(x) == hash(y)
 
@@ -526,9 +532,9 @@ def test_sign_filter_agrees_with_sign_descent(rads, coeffs, k):
     # x - lo and x - hi lie within 2**-k of 0: near-cancellations
     elems = [x, x - lo, x - hi, x * x - 2 * x, x - pool[-1], (x - lo) * 2 ** k - 1]
     for y in elems:
-        assert y.sign() == t._sign_t(y._terms)
-        assert (y < x) == (t._sign_t((y - x)._terms) < 0)
-        assert (y >= 1) == (t._sign_t((y - 1)._terms) >= 0)
+        assert y.sign() == sign_t(t, y._terms)
+        assert (y < x) == (sign_t(t, (y - x)._terms) < 0)
+        assert (y >= 1) == (sign_t(t, (y - 1)._terms) >= 0)
 
 
 def test_coefficient_size_guard(monkeypatch):

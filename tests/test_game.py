@@ -7,17 +7,20 @@ from euclid import corpus
 from euclid.closure import ALL_OPS
 from euclid.dsl import ReplayOracle, SamplingOracle, parse_program, run
 from euclid.dsl.interp import answer_problem
-from euclid.errors import ResourceLimitError, RunAbort
+from euclid.errors import RunAbort
 from euclid.field import Tower
 from euclid.game import (
     STOP,
     AliceWins,
     Aborted,
+    CertificateBob,
+    Position,
     RCircle,
     RIntersect,
     RLine,
     RPointInCell,
     RPointInDisk,
+    SamplingBob,
     Timeout,
     certificate_bob,
     check_certificate,
@@ -27,7 +30,7 @@ from euclid.game import (
     scripted_alice,
 )
 from euclid.geom import Circle, Line, Point, point
-from euclid.regions import INSCRIBE_HALVINGS, Cell, Disk, inscribe_disk
+from euclid.regions import Cell, Disk
 
 
 def unit_circle(tower) -> Circle:
@@ -236,9 +239,21 @@ def test_malformed_requests_abort():
     assert record.outcome.reason == "malformed-request"
 
     l = Line.through(a, b)
+    far = Line.through(a, stranger)
     for request, problem in (
             (RCircle(a, b, b), "circle needs a positive squared radius"),
-            (RIntersect(l, l), "identical lines")):
+            (RIntersect(l, l), "identical lines"),
+            (RCircle(a, b, stranger), "circle reference (<7 ~ 7>, <7 ~ 7>) "
+                                      "is not in the position"),
+            (RIntersect(l, far), "intersection operand Line(<1 ~ 1>, "
+                                 "<-1 ~ -1>, <0 ~ 0>) is not in the position"),
+            (RPointInDisk(Cell(((l, 1),))), "disk request without a disk"),
+            (RPointInCell(Disk(a, tw.from_rational(1))),
+             "cell request without a cell"),
+            (RPointInCell(Cell(((far, 1),))), "cell condition on Line(<1 ~ 1>, "
+                                             "<-1 ~ -1>, <0 ~ 0>) outside the "
+                                             "position"),
+            ("stop", "unknown request 'stop'")):
         record = play([a, b], [l], point(tw, 1, 1),
                       lambda position, moves: request, None)
         assert record.outcome == Aborted("malformed-request", problem)
@@ -330,13 +345,38 @@ def test_sampling_bob_is_deterministic_and_conforming():
     cell = Cell(((k, -1), (axis, 1)))
     answers = []
     for _ in range(2):
-        from euclid.game import Position
         bob = sampling_bob(5)
         pos = Position([], [k, axis])
         p = bob.answer(cell, pos)
         assert cell.contains(p)
         answers.append(p)
     assert answers[0] == answers[1]
+
+
+def test_certificate_bob_answers_as_the_sampling_scan():
+    # the scan only finds rational points, and the rational plane keeps
+    # them all, so the certificate adversary answers as the sampler does
+    tw = Tower()
+    k = unit_circle(tw)
+    axis = Line.through(point(tw, 0, 0), point(tw, 1, 0))
+    half = tw.from_rational(Fraction(1, 2))
+    regions = (Disk(point(tw, Fraction(1, 3), 0), tw.from_rational(1)),
+               Cell(((k, -1), (axis, 1))),
+               Disk(Point(tw.from_rational(2).sqrt() * half, half), half),
+               Cell(((k, 1), (axis, -1))),
+               Cell(((k, -1), (Circle(k.center, tw.from_rational(4)), 1))))
+    for seed in range(4):
+        bobs = (CertificateBob(rational_certificate(), seed),
+                SamplingBob(seed))
+        positions = [Position([point(tw, 0, 0)], [k, axis]) for _ in bobs]
+        for region in regions * 2:
+            p, q = (bob.answer(region, pos)
+                    for bob, pos in zip(bobs, positions))
+            assert p == q
+            assert (p is None) == (region is regions[-1])
+            for pos in positions:
+                if p is not None:
+                    pos.add(p)
 
 
 def test_chord_line_game_from_a_bare_circle():
@@ -442,14 +482,3 @@ def test_certificate_bob_excludes_target_at_several_budgets():
         heights = {p.height for p in record.position.points}
         heights |= {c.height for c in record.position.curves}
         assert heights == {0}
-
-
-def test_inscribe_disk_raises_naming_its_bound():
-    tw = Tower()
-    axis = Line.through(point(tw, 0, 0), point(tw, 1, 0))
-    q = point(tw, 0, Fraction(1, 2 ** 300))
-    cell = Cell(((axis, axis.side(q)),))
-    assert inscribe_disk(cell, point(tw, 0, 1)) == Fraction(1, 2)
-    with pytest.raises(ResourceLimitError,
-                       match=f"INSCRIBE_HALVINGS={INSCRIBE_HALVINGS}"):
-        inscribe_disk(cell, q)

@@ -22,12 +22,12 @@ from euclid.net import (
     RestrictedAlice,
     _Frame,
     densify,
-    grid_gaps,
     replay_trace,
     straightedge_only,
 )
 from euclid.regions import Disk, contains_closed_disk, triangle_cell
 from euclid.render import auto_viewport, render_svg
+from engine_checks import grid_gaps
 
 
 def scaffold(tower):
