@@ -2,9 +2,24 @@
 
 One round first draws every line through two known points and every
 circle centered at a known point with a known point-pair distance as
-radius, then intersects every not-yet-processed pair among the enlarged
+radius, then decides every not-yet-processed pair among the enlarged
 curve set.  `closure` runs rounds to a fixed point, `derivable` stops as
 soon as a target point appears, `expand_once` runs a single round.
+
+The run records which known points lie on which curves, from facts
+exact by construction: a line passes through the two points it was
+drawn through, a circle through the point its radius was measured to
+from its own center, and both curves of a pair through every meet
+found for it.  Each new curve collects, from the curves through its own
+points, the known points it shares with every earlier curve, and adds
+each meet it finds.  A pair that shares two known points, or two lines
+sharing one, can meet nowhere new and is skipped.  Any other pair
+sharing one known point holds a circle, and `geom.second_meet` mirrors
+that point to the pair's other meet without a root.  Only pairs sharing
+no known point are intersected.  Every meet a skipped or mirrored pair
+would have given is known already or lies in the field of the known
+point and the curves, so the objects, their order and the trace are
+those of intersecting every pair.
 
 Duplicate detection hashes the objects themselves: towers keep every
 element in canonical form, so equal points and curves have equal
@@ -14,10 +29,20 @@ exact duplicates and keeps arrival order.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ResourceLimitError
-from .geom import Circle, Curve, Line, Point, Step, dist2, intersect
+from .geom import (
+    Circle,
+    Curve,
+    Line,
+    Point,
+    Step,
+    dist2,
+    intersect,
+    second_meet,
+)
 
 ALL_OPS = frozenset({"line", "circle", "intersect"})
 
@@ -48,14 +73,6 @@ class Derivability:
     state: ClosureResult
 
 
-def _admit(seen: dict, obj) -> bool:
-    """Add obj to an insertion-ordered set; True if it was new."""
-    if obj in seen:
-        return False
-    seen[obj] = None
-    return True
-
-
 class _Run:
     def __init__(self, points, curves, budget: Budget, ops,
                  target: Point | Curve | None):
@@ -65,20 +82,24 @@ class _Run:
         if bad:
             raise ValueError(f"unknown closure ops: {sorted(bad)}")
         self.target = target
-        self.points: dict[Point, None] = {}     # insertion-ordered sets
-        self.curves: dict[Curve, None] = {}
-        # curves only append, so the pairs already intersected are those
+        # insertion-ordered: each object maps to its arrival index
+        self.points: dict[Point, int] = {}
+        self.curves: dict[Curve, int] = {}
+        self.known: list[Point] = []        # the points by arrival index
+        # incidences known by construction, as arrival indices: the
+        # curves through each point, and the points each curve was drawn
+        # through, which is all a curve's own intersect pass reads of it
+        self.through: list[list[int]] = []
+        self.on: list[list[int]] = []
+        # curves only append, so the pairs already decided are those
         # among the first `intersected` curves
         self.intersected = 0
         self.trace: list[Step] = []
         self.rounds = 0
         self.found_round: int | None = None
-        for p in points:
-            if _admit(self.points, p):
-                self.trace.append(Step("given", (p,)))
-        for c in curves:
-            if _admit(self.curves, c):
-                self.trace.append(Step("given", (c,)))
+        for obj in (*points, *curves):
+            if self._index(obj)[1]:
+                self.trace.append(Step("given", (obj,)))
         if target is not None and (target in self.points
                                    or target in self.curves):
             self.found_round = 0
@@ -97,49 +118,101 @@ class _Run:
                 f"closure exceeded {self.budget.max_objects} objects",
                 partial=self.result(False))
 
-    def _add(self, obj: Point | Curve, rule: str, parents: tuple) -> bool:
-        seen = self.points if isinstance(obj, Point) else self.curves
-        if not _admit(seen, obj):
-            return False
-        self.trace.append(Step(rule, (obj,), parents, self.rounds))
-        self._check_budget()
-        if self.found_round is None and obj == self.target:
-            self.found_round = self.rounds
-        return True
+    def _index(self, obj: Point | Curve) -> tuple[int, bool]:
+        """obj's arrival index, admitting it if new; and whether it was."""
+        is_point = isinstance(obj, Point)
+        seen = self.points if is_point else self.curves
+        k = seen.get(obj)
+        if k is not None:
+            return k, False
+        seen[obj] = k = len(seen)
+        if is_point:
+            self.known.append(obj)
+            self.through.append([])
+        else:
+            self.on.append([])
+        return k, True
+
+    def _add(self, obj: Point | Curve, rule: str, parents: tuple) -> int:
+        """obj's arrival index; a new obj is traced and budgeted first."""
+        k, new = self._index(obj)
+        if new:
+            self.trace.append(Step(rule, (obj,), parents, self.rounds))
+            self._check_budget()
+            if self.found_round is None and obj == self.target:
+                self.found_round = self.rounds
+        return k
+
+    def _drawn(self, c: int, k: int):
+        """Record that curve c was drawn through point k."""
+        if c not in self.through[k]:
+            self.through[k].append(c)
+            self.on[c].append(k)
 
     def round(self) -> bool:
         """One saturation round; returns True if anything new appeared."""
         self.rounds += 1
-        grew = False
-        pts = list(self.points)
+        start = self.size
+        pts = self.known[:]             # pts[i] has arrival index i
         if "line" in self.ops:
             for j in range(len(pts)):
                 for i in range(j):
-                    grew |= self._add(Line.through(pts[i], pts[j]),
-                                      "line", (pts[i], pts[j]))
+                    k = self._add(Line.through(pts[i], pts[j]),
+                                  "line", (pts[i], pts[j]))
+                    self._drawn(k, i)
+                    self._drawn(k, j)
                     if self.found_round is not None:
-                        return grew
+                        return True
         if "circle" in self.ops:
             radii = []
             for j in range(len(pts)):
                 for i in range(j):
-                    radii.append((dist2(pts[i], pts[j]), pts[i], pts[j]))
-            for o in pts:
+                    radii.append((dist2(pts[i], pts[j]), i, j))
+            for o in range(len(pts)):
                 for r2, a, b in radii:
-                    grew |= self._add(Circle(o, r2), "circle", (o, a, b))
+                    k = self._add(Circle(pts[o], r2), "circle",
+                                  (pts[o], pts[a], pts[b]))
+                    if o == a:
+                        self._drawn(k, b)
+                    elif o == b:
+                        self._drawn(k, a)
                     if self.found_round is not None:
-                        return grew
+                        return True
         if "intersect" in self.ops:
             curves = list(self.curves)      # stable: dicts keep arrival order
+            through = self.through
             for j in range(self.intersected, len(curves)):
+                v = curves[j]
+                # the known points v shares with each curve, kept up to
+                # date as meets on v are found
+                shared: defaultdict[int, list[int]] = defaultdict(list)
+                for k in self.on[j]:
+                    for c in through[k]:
+                        shared[c].append(k)
                 for i in range(j):
-                    u, v = curves[i], curves[j]
-                    for p in intersect(u, v):
-                        grew |= self._add(p, "intersect", (u, v))
+                    u = curves[i]
+                    common = shared.get(i)
+                    if common is None:
+                        meets = intersect(u, v)
+                    elif len(common) > 1 or (isinstance(u, Line)
+                                             and isinstance(v, Line)):
+                        # distinct curves meet at most twice, lines once
+                        continue
+                    else:
+                        meets = (second_meet(u, v, self.known[common[0]]),)
+                    for p in meets:
+                        k = self._add(p, "intersect", (u, v))
+                        at = through[k]
+                        if i not in at:
+                            at.append(i)
+                        if j not in at:
+                            at.append(j)
+                            for c in at:
+                                shared[c].append(k)
                     if self.found_round is not None:
-                        return grew
+                        return True
             self.intersected = len(curves)
-        return grew
+        return self.size > start
 
     def run(self) -> bool:
         """Rounds until fixed point, target hit, or round budget; True

@@ -490,20 +490,23 @@ class Constructible:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _coerce(self, other) -> "Constructible | None":
+    def _coerce(self, other) -> Terms | None:
+        """The term pair of an element of this tower, int or Fraction;
+        None for other types.  The operators guard what they make."""
         if isinstance(other, Constructible):
             if other.tower is not self.tower:
                 raise SessionMismatchError("operands from different towers")
-            return other
+            return other._terms
         if isinstance(other, (int, Fraction)):
-            return self.tower.from_rational(other)
+            n = other.numerator
+            return ({0: n} if n else {}), other.denominator
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.tower._make(_add_t(self._terms, o._terms))
+        return self.tower._make(_add_t(self._terms, o))
 
     __radd__ = __add__
 
@@ -511,13 +514,13 @@ class Constructible:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.tower._make(_sub_t(self._terms, o._terms))
+        return self.tower._make(_sub_t(self._terms, o))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.tower._make(_sub_t(o._terms, self._terms))
+        return self.tower._make(_sub_t(o, self._terms))
 
     def __neg__(self):
         # same magnitudes, so nothing for the coefficient guard to catch
@@ -527,7 +530,7 @@ class Constructible:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.tower._make(self.tower._mul_t(self._terms, o._terms))
+        return self.tower._make(self.tower._mul_t(self._terms, o))
 
     __rmul__ = __mul__
 
@@ -535,16 +538,15 @@ class Constructible:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o._num:
-            raise ZeroDivisionError("division by zero")
-        return self.tower._make(
-            self.tower._mul_t(self._terms, self.tower._inv_t(o._terms)))
+        tw = self.tower
+        return tw._make(tw._mul_t(self._terms, tw._inv_t(o)))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o / self
+        tw = self.tower
+        return tw._make(tw._mul_t(o, tw._inv_t(self._terms)))
 
     # -- comparisons ---------------------------------------------------------
 
@@ -555,14 +557,14 @@ class Constructible:
             return False
         if o is None:
             return NotImplemented
-        return self._den == o._den and self._num == o._num
+        return self._den == o[1] and self._num == o[0]
 
     def __ne__(self, other):
         r = self.__eq__(other)
         return r if r is NotImplemented else not r
 
-    def _cmp(self, o: "Constructible") -> int:
-        return self.tower._sign(_sub_t(self._terms, o._terms)[0])
+    def _cmp(self, o: Terms) -> int:
+        return self.tower._sign(_sub_t(self._terms, o)[0])
 
     def __lt__(self, other):
         o = self._coerce(other)

@@ -12,7 +12,9 @@ quadratic of a line and a circle, which `_line_circle` solves and
 the (numerators, denominator) term pairs of `field` with one inverse
 per call, and make field elements, each checked by the coefficient
 guard, only for the coordinates and line coefficients they return and
-for the discriminant they take the root of.  The predicates `side` and
+for the discriminant they take the root of.  `second_meet` finds the
+other meet of a circle and a curve through a point they share as that
+point's mirror image, with no root.  The predicates `side` and
 `contains` run on term pairs too and make no element at all; `eval`
 makes one, the value they read.  `cross(p, q, r)` is the one signed
 area formula: `orientation` reads its sign, and `net` its ratios.
@@ -407,6 +409,42 @@ def _line_circle(l: Line, c: Circle) -> list[Point]:
     if tw._sign(dx[0]) < 0:
         out.reverse()
     return out
+
+
+def second_meet(u: Curve, v: Curve, p: Point) -> Point:
+    """The other meet of a circle and a line or circle through their
+    common point p; p itself where they touch.  Takes no root.
+
+    The pair is symmetric about the line through the circle's center
+    perpendicular to the line, or about the line of the two centers, so
+    the other meet is p's mirror image in that axis.  p must lie on
+    both curves: the result is unspecified otherwise.
+    """
+    if not isinstance(u, Circle):
+        u, v = v, u
+    if not isinstance(u, Circle) or not isinstance(v, (Line, Circle)):
+        raise TypeError("second_meet expects a circle and a line or circle")
+    tw = _tower_of(u, p)
+    if v.tower is not tw:
+        raise SessionMismatchError("curves from different towers")
+    if u == v:
+        raise IdenticalCurvesError("identical circles")
+    o = u.center
+    ox, oy = o.x._terms, o.y._terms
+    # (nx, ny): the axis's normal, which is the line's direction or
+    # perpendicular to the line of centers
+    if isinstance(v, Line):
+        nx, ny = v.b._terms, _neg_t(v.a._terms)
+    else:
+        nx, ny = _sub_t(oy, v.center.y._terms), _sub_t(v.center.x._terms, ox)
+    mul = tw._mul_t
+    px, py = p.x._terms, p.y._terms
+    k = _add_t(mul(nx, _sub_t(px, ox)), mul(ny, _sub_t(py, oy)))
+    if not k[0]:
+        return p
+    f = _scale(mul(k, tw._inv_t(_norm2(tw, nx, ny))), 2)
+    return Point(tw._make(_sub_t(px, mul(f, nx))),
+                 tw._make(_sub_t(py, mul(f, ny))))
 
 
 def _radical_line(u: Circle, v: Circle) -> Line | None:

@@ -3,15 +3,18 @@
 Each check computes on the engine's own term kernels and frames, so it
 exercises the code it checks: the squaring sign descent is the
 reference for the enclosure filter `Tower._sign`, the characteristic
-polynomial certifies an element's degree, and the grid gaps measure
-how fine the straightedge-derivable grid of `net._Frame` gets.
+polynomial certifies an element's degree, the grid gaps measure how
+fine the straightedge-derivable grid of `net._Frame` gets, and
+`EveryPairRun` is the closure round that intersects every curve pair,
+the reference for the incidence shortcuts of `closure._Run.round`.
 """
 
 import math
 from fractions import Fraction
 
+from euclid.closure import _Run
 from euclid.field import _add_t, _indices, _neg_t, _split, _sub_t, _top
-from euclid.geom import dist2
+from euclid.geom import Circle, Line, dist2, intersect
 from euclid.net import _Frame, _require_scaffold
 
 
@@ -102,3 +105,42 @@ def grid_gaps(a, b, c, d, levels: int):
                         worst = d2
         gaps.append(worst)
     return gaps
+
+
+class EveryPairRun(_Run):
+    """A closure run whose rounds intersect every new curve pair, with
+    no incidence shortcut; swapped in for `closure._Run`, it gives the
+    objects and the trace the shortcuts must reproduce."""
+
+    def round(self) -> bool:
+        self.rounds += 1
+        start = self.size
+        pts = list(self.points)
+        if "line" in self.ops:
+            for j in range(len(pts)):
+                for i in range(j):
+                    self._add(Line.through(pts[i], pts[j]),
+                              "line", (pts[i], pts[j]))
+                    if self.found_round is not None:
+                        return True
+        if "circle" in self.ops:
+            radii = []
+            for j in range(len(pts)):
+                for i in range(j):
+                    radii.append((dist2(pts[i], pts[j]), pts[i], pts[j]))
+            for o in pts:
+                for r2, a, b in radii:
+                    self._add(Circle(o, r2), "circle", (o, a, b))
+                    if self.found_round is not None:
+                        return True
+        if "intersect" in self.ops:
+            curves = list(self.curves)
+            for j in range(self.intersected, len(curves)):
+                for i in range(j):
+                    u, v = curves[i], curves[j]
+                    for p in intersect(u, v):
+                        self._add(p, "intersect", (u, v))
+                    if self.found_round is not None:
+                        return True
+            self.intersected = len(curves)
+        return self.size > start

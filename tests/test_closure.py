@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import euclid.closure as closure_module
+from euclid import geom
 from euclid.closure import (
     Budget,
     ClosureResult,
@@ -16,6 +17,8 @@ from euclid.closure import (
 from euclid.errors import ResourceLimitError
 from euclid.field import Tower
 from euclid.geom import Circle, Line, Point, point
+
+from engine_checks import EveryPairRun
 
 
 @pytest.fixture
@@ -199,21 +202,116 @@ def test_round_two_closure_sqrt_search_steps(tw, monkeypatch):
     assert steps[0] <= 1500
 
 
-def test_each_curve_pair_is_intersected_once(tw, monkeypatch):
-    pairs = []
-    meet = closure_module.intersect
+def test_each_curve_pair_is_decided_once(tw, monkeypatch):
+    decided = []
 
-    def counted(u, v):
-        pairs.append(frozenset((u, v)))
-        return meet(u, v)
+    def counted(fn):
+        def wrapper(u, v, *rest):
+            decided.append(frozenset((u, v)))
+            return fn(u, v, *rest)
+        return wrapper
 
-    monkeypatch.setattr(closure_module, "intersect", counted)
+    for name in ("intersect", "second_meet"):
+        monkeypatch.setattr(closure_module, name,
+                            counted(getattr(closure_module, name)))
     res = closure([point(tw, 0, 0), point(tw, 1, 0)],
                   budget=Budget(max_rounds=2))
-    n = len(res.curves)
-    assert n > 2
-    assert len(pairs) == n * (n - 1) // 2
-    assert len(set(pairs)) == len(pairs)
+    assert len(set(decided)) == len(decided)
+    # a pair neither call saw shares known points, so meets nowhere new
+    known = set(res.points)
+    curves = res.curves
+    skipped = 0
+    for j in range(len(curves)):
+        for i in range(j):
+            u, v = curves[i], curves[j]
+            if frozenset((u, v)) not in decided:
+                skipped += 1
+                assert set(geom.intersect(u, v)) <= known
+    assert skipped > 0
+
+
+def test_round_two_closure_takes_fewer_roots(tw, monkeypatch):
+    # deterministic counts: intersecting all 561 curve pairs made 561
+    # `intersect` and 381 `Tower._sqrt` calls
+    calls = {"intersect": 0, "sqrt": 0}
+    meet, root = closure_module.intersect, Tower._sqrt
+
+    def counted_meet(u, v):
+        calls["intersect"] += 1
+        return meet(u, v)
+
+    def counted_root(self, x):
+        calls["sqrt"] += 1
+        return root(self, x)
+
+    monkeypatch.setattr(closure_module, "intersect", counted_meet)
+    monkeypatch.setattr(Tower, "_sqrt", counted_root)
+    res = closure([point(tw, 0, 0), point(tw, 1, 0)],
+                  budget=Budget(max_rounds=2))
+    assert (len(res.points), len(res.curves)) == (391, 34)
+    assert calls["intersect"] <= 313
+    assert calls["sqrt"] <= 205
+
+
+def _key(obj):
+    """A tower-independent key: term pairs in place of elements."""
+    if isinstance(obj, Point):
+        return ("P", _key(obj.x), _key(obj.y))
+    if isinstance(obj, Line):
+        return ("L", _key(obj.a), _key(obj.b), _key(obj.c))
+    if isinstance(obj, Circle):
+        return ("C", _key(obj.center), _key(obj.r2))
+    return obj._terms
+
+
+def _outcome(res):
+    state = getattr(res, "state", res)
+    steps = [(s.rule, [_key(m) for m in s.made],
+              [_key(m) for m in s.parents], s.round) for s in state.trace]
+    return (steps, [_key(p) for p in state.points],
+            [_key(c) for c in state.curves], state.complete, state.rounds,
+            getattr(res, "derivable", None), getattr(res, "rounds", None))
+
+
+def _pts(tw, coords):
+    return [Point(*(tw.parse(str(v)) for v in xy)) for xy in coords]
+
+
+def _two_point_closure(coords):
+    return lambda tw: closure(_pts(tw, coords), budget=Budget(max_rounds=2))
+
+
+def _straightedge(coords, rounds):
+    return lambda tw: closure(_pts(tw, coords), ops={"line", "intersect"},
+                              budget=Budget(max_rounds=rounds))
+
+
+def _derivable(target):
+    return lambda tw: derivable(_pts(tw, [target])[0],
+                                _pts(tw, [(0, 0), (2, 0)]))
+
+
+@pytest.mark.parametrize("build", [
+    _two_point_closure([(0, 0), (1, 0)]),
+    _two_point_closure([(Fraction(1, 3), -2), (5, Fraction(7, 2))]),
+    _two_point_closure([(0, 0), (1, "sqrt(2)")]),
+    _straightedge([(0, 0), (3, 1), (1, 4), (-2, 3), (2, -2)], 1),
+    _straightedge([(0, 0), (4, 0), (0, 4), (1, 1)], 2),
+    _derivable((1, 0)),
+    _derivable((1, "sqrt(3)")),
+    lambda tw: expand_once(_pts(tw, [(0, 0), (3, 1), (1, 2)])),
+], ids=["unit-pair", "fraction-pair", "sqrt2-pair", "straightedge-5p",
+        "straightedge-4p", "midpoint", "apex", "expand-once"])
+def test_incidence_rounds_match_every_pair_rounds(build, monkeypatch):
+    # the same objects in the same order, the same trace and the same
+    # radicands as the round that intersects every curve pair
+    tw = Tower()
+    got = _outcome(build(tw))
+    monkeypatch.setattr(closure_module, "_Run", EveryPairRun)
+    ref_tw = Tower()
+    want = _outcome(build(ref_tw))
+    assert got == want
+    assert tw._radicands == ref_tw._radicands
 
 
 # OEIS A333944: from two points, drawing every line through two known

@@ -563,6 +563,28 @@ def test_coefficient_size_guard(monkeypatch):
         1 / y                   # 1 - 3 * 2**80 in the denominator
 
 
+def test_scalar_operands_are_guarded_in_the_result():
+    # an int or Fraction operand is a term pair, so only what the
+    # operator makes passes the coefficient guard
+    t = Tower()
+    x = t.from_rational(2).sqrt()
+    message = r"^coefficient size guard exceeded"
+    for big in (2 ** 70000, Fraction(1, 2 ** 70000)):
+        with pytest.raises(ResourceLimitError, match=message):
+            x * big
+        with pytest.raises(ResourceLimitError, match=message):
+            big - x
+        assert x != big and not x == big
+    assert (x * 2) / Fraction(2) == x == 2 / x
+    assert x - 1 < 1 < x and x + Fraction(1, 2) > 1
+    assert t.from_rational(Fraction(3, 4)) == Fraction(3, 4)
+    assert t.zero == 0 == Fraction(0) and t.one == 1
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    with pytest.raises(ZeroDivisionError):
+        1 / t.zero
+
+
 # The term kernels' bodies before their one-term paths: the reference
 # the direct paths must reproduce exactly.
 

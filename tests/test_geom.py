@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from euclid.errors import (
     DegenerateInputError,
@@ -23,6 +23,7 @@ from euclid.geom import (
     midpoint,
     orientation,
     point,
+    second_meet,
 )
 
 
@@ -186,6 +187,66 @@ def test_intersects_agrees_with_intersect(u_spec, v_spec):
     keys = [(p.x, p.y) for p in pts]
     assert keys == sorted(keys) and len(set(pts)) == len(pts)
     assert intersect(v, u) == pts
+
+
+# second_meet against intersect, on pairs drawn through a shared point p:
+# a circle centered at o through p, and a line through p and w, a circle
+# centered at w through p, or a line or circle tangent to it at p.
+
+_q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_xy = st.tuples(_q, _q, _q, _q)         # (a, b, c, d): (a + b*s, c + d*s)
+
+
+def _surd_point(tw, xy, s):
+    a, b, c, d = xy
+    return Point(a + b * s, c + d * s)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(st.sampled_from(("line", "circle", "tangent line", "tangent circle")),
+       st.booleans(), _xy, _xy, _xy, _q.filter(lambda t: t not in (0, 1)))
+def test_second_meet_agrees_with_intersect(kind, root2, p_xy, o_xy, w_xy, t):
+    # data in Q, or in Q(sqrt 2) when root2 is set
+    tw = Tower()
+    s = tw.from_rational(2).sqrt() if root2 else tw.zero
+    p, o, w = (_surd_point(tw, xy, s) for xy in (p_xy, o_xy, w_xy))
+    assume(o != p and w != p)
+    u = Circle.centered(o, p)
+    if kind == "line":
+        v = Line.through(p, w)
+    elif kind == "circle":
+        assume(w != o)
+        v = Circle.centered(w, p)
+    elif kind == "tangent line":
+        v = Line.through(p, Point(p.x + o.y - p.y, p.y + p.x - o.x))
+    else:
+        v = Circle.centered(Point(o.x + t * (p.x - o.x),
+                                  o.y + t * (p.y - o.y)), p)
+    h0 = tw.height
+    q = second_meet(u, v, p)
+    assert second_meet(v, u, p) == q
+    assert tw.height == h0
+    assert u.contains(q) and v.contains(q)
+    assert set(intersect(u, v)) == {p, q}
+    if kind.startswith("tangent"):
+        assert q is p
+
+
+def test_second_meet_needs_a_circle_of_the_same_tower(tw):
+    p, q = point(tw, 0, 0), point(tw, 1, 0)
+    c = Circle.centered(q, p)
+    l = Line.through(p, q)
+    assert second_meet(l, c, p) == point(tw, 2, 0)
+    with pytest.raises(TypeError):
+        second_meet(l, Line.through(p, point(tw, 0, 1)), p)
+    with pytest.raises(IdenticalCurvesError):
+        second_meet(c, Circle.centered(q, p), p)
+    other = Tower()
+    with pytest.raises(SessionMismatchError):
+        second_meet(c, l, point(other, 0, 0))
+    with pytest.raises(SessionMismatchError):
+        second_meet(c, Line.through(point(other, 0, 0), point(other, 1, 0)),
+                    p)
 
 
 # The intersection formulas written with the field's operators: the
