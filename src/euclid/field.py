@@ -73,6 +73,12 @@ def _norm(num: Num, den: int) -> Terms:
     return num, den
 
 
+def _rational_t(q: int | Fraction) -> Terms:
+    """The term pair of an int or Fraction."""
+    n = q.numerator
+    return ({0: n} if n else {}), q.denominator
+
+
 def _top(num: Num) -> int:
     """The highest radicand index the map uses; 0 for a rational."""
     return max(num, default=0).bit_length()
@@ -188,19 +194,22 @@ class Tower:
         # the shared denominator and the largest numerator bound every
         # reduced coefficient's numerator and denominator
         cap = MAX_COEFF_BITS
-        if num and (den.bit_length() > cap
-                    or max(num.values()).bit_length() > cap
-                    or min(num.values()).bit_length() > cap):
+        if len(num) == 1:
+            (c,) = num.values()
+            big = den.bit_length() > cap or c.bit_length() > cap
+        else:
+            big = num and (den.bit_length() > cap
+                           or max(num.values()).bit_length() > cap
+                           or min(num.values()).bit_length() > cap)
+        if big:
             raise ResourceLimitError(
                 f"coefficient size guard exceeded ({cap} bits)")
         return Constructible(self, num, den)
 
     def from_rational(self, q) -> "Constructible":
-        if type(q) is int:
-            return self._make(({0: q} if q else {}, 1))
-        if type(q) is not Fraction:
+        if type(q) is not int and type(q) is not Fraction:
             q = Fraction(q)
-        return self._make(({0: q.numerator} if q else {}, q.denominator))
+        return self._make(_rational_t(q))
 
     def parse(self, text: str) -> "Constructible":
         return parse_real(text, self)
@@ -498,8 +507,7 @@ class Constructible:
                 raise SessionMismatchError("operands from different towers")
             return other._terms
         if isinstance(other, (int, Fraction)):
-            n = other.numerator
-            return ({0: n} if n else {}), other.denominator
+            return _rational_t(other)
         return None
 
     def __add__(self, other):

@@ -12,7 +12,15 @@ quadratic of a line and a circle, which `_line_circle` solves and
 the (numerators, denominator) term pairs of `field` with one inverse
 per call, and make field elements, each checked by the coefficient
 guard, only for the coordinates and line coefficients they return and
-for the discriminant they take the root of.  `second_meet` finds the
+for the discriminant they take the root of.  Lines have a rational
+lane: when every coordinate or coefficient a join (`Line.through`), a
+normalization (`Line`), a meet (`_line_line`, `_det`) or a value
+(`Line._value`) reads is rational, it computes with integer cross
+products of homogeneous coordinates over one common denominator, and
+reduces each result by one gcd to a positive denominator (`_ratio`).
+A rational has one such pair, the one `field._norm` gives, so the
+lane's elements equal the general path's term for term, and each
+still passes the guard in `Tower._make`.  `second_meet` finds the
 other meet of a circle and a curve through a point they share as that
 point's mirror image, with no root.  The predicates `side` and
 `contains` run on term pairs too and make no element at all; `eval`
@@ -24,6 +32,7 @@ and densification alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,6 +104,11 @@ class Line:
         tw = a.tower
         if b.tower is not tw or c.tower is not tw:
             raise SessionMismatchError("line coefficients from different towers")
+        if not (any(a._num) or any(b._num) or any(c._num)):
+            ad, bd, cd = a._den, b._den, c._den
+            self.a, self.b, self.c = _normal_q(
+                tw, _n(a) * bd * cd, _n(b) * ad * cd, _n(c) * ad * bd)
+            return
         if a:
             inv = tw._inv_t(a._terms)
             a, b = tw.one, tw._make(tw._mul_t(b._terms, inv))
@@ -112,6 +126,17 @@ class Line:
         tw = _tower_of(p, q)
         if p == q:
             raise DegenerateInputError("line through two identical points")
+        px, py, qx, qy = p.x, p.y, q.x, q.y
+        if not (any(px._num) or any(py._num) or any(qx._num)
+                or any(qy._num)):
+            # the join of (x1 : y1 : z1) and (x2 : y2 : z2)
+            z1, z2 = px._den * py._den, qx._den * qy._den
+            x1, y1 = _n(px) * py._den, _n(py) * px._den
+            x2, y2 = _n(qx) * qy._den, _n(qy) * qx._den
+            line = object.__new__(cls)
+            line.a, line.b, line.c = _normal_q(
+                tw, y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+            return line
         a = _sub_t(q.y._terms, p.y._terms)
         b = _sub_t(p.x._terms, q.x._terms)
         c = _neg_t(_add_t(tw._mul_t(a, p.x._terms), tw._mul_t(b, p.y._terms)))
@@ -128,6 +153,13 @@ class Line:
     def _value(self, p: Point) -> Terms:
         """a*x + b*y + c at p, as a term pair."""
         tw = _tower_of(self, p)
+        b, c, x, y = self.b, self.c, p.x, p.y
+        if not (any(b._num) or any(c._num) or any(x._num) or any(y._num)):
+            byd = b._den * y._den
+            n = (_n(b) * _n(y) * c._den + _n(c) * byd) * x._den
+            if self.a:
+                n += _n(x) * byd * c._den
+            return _ratio(n, byd * c._den * x._den)
         v = tw._mul_t(self.b._terms, p.y._terms)
         if self.a:                      # normalized: a is 1 or 0
             v = _add_t(p.x._terms, v)
@@ -256,6 +288,32 @@ class Step:
 
 # -- scalar helpers ----------------------------------------------------------
 
+def _n(x: Constructible) -> int:
+    """The numerator of a rational element."""
+    return x._num.get(0, 0)
+
+
+def _ratio(n: int, d: int) -> Terms:
+    """n/d for integers n and d != 0, as `_norm` gives it: in lowest
+    terms, with a positive denominator."""
+    if not n:
+        return {}, 1
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    return {0: n // g}, d // g
+
+
+def _normal_q(tw: Tower, a: int, b: int, c: int) -> tuple:
+    """The coefficients `Line` keeps for a*x + b*y + c = 0, from
+    integers a, b, c: the rational lane of its normalization."""
+    if a:
+        return tw.one, tw._make(_ratio(b, a)), tw._make(_ratio(c, a))
+    if b:
+        return tw.zero, tw.one, tw._make(_ratio(c, b))
+    raise DegenerateInputError("line with zero normal vector")
+
+
 def _tower_of(u, v) -> Tower:
     """The tower of two points, or of a curve and a point."""
     tw = u.tower
@@ -345,15 +403,32 @@ def _pair(u: Curve, v: Curve, what: str) -> tuple[Line | None, Curve]:
 
 
 def _det(u: Line, v: Line) -> Terms:
+    ub, vb = u.b, v.b
+    if not (any(ub._num) or any(vb._num)):
+        # a is 0 or 1
+        return _ratio((_n(vb) * ub._den if u.a else 0)
+                      - (_n(ub) * vb._den if v.a else 0), ub._den * vb._den)
     mul = u.tower._mul_t
     return _sub_t(mul(u.a._terms, v.b._terms), mul(v.a._terms, u.b._terms))
 
 
 def _line_line(u: Line, v: Line) -> list[Point]:
+    tw = u.tower
+    ub, uc, vb, vc = u.b, u.c, v.b, v.c
+    if not (any(ub._num) or any(uc._num) or any(vb._num) or any(vc._num)):
+        # the meet of (u1 : u2 : u3) and (v1 : v2 : v3); a is 0 or 1
+        u1 = ub._den * uc._den if u.a else 0
+        u2, u3 = _n(ub) * uc._den, _n(uc) * ub._den
+        v1 = vb._den * vc._den if v.a else 0
+        v2, v3 = _n(vb) * vc._den, _n(vc) * vb._den
+        w = u1 * v2 - u2 * v1
+        if not w:
+            return []
+        return [Point(tw._make(_ratio(u2 * v3 - u3 * v2, w)),
+                      tw._make(_ratio(u3 * v1 - u1 * v3, w)))]
     det = _det(u, v)
     if not det[0]:
         return []
-    tw = u.tower
     mul = tw._mul_t
     inv = tw._inv_t(det)
     ua, ub, uc = u.a._terms, u.b._terms, u.c._terms

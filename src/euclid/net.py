@@ -24,6 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DegenerateInputError, ResourceLimitError, ScopeError
+from .field import _add_t, _rational_t
 from .game import (STOP, GameMove, RCircle, RIntersect, RLine, RPointInCell,
                    RPointInDisk)
 from .geom import Line, Point, Step, cross, dist2, intersect, orientation
@@ -99,7 +100,7 @@ class _Frame:
     def __init__(self, a: Point, b: Point, c: Point, d: Point):
         self.a, self.b, self.c, self.d = a, b, c, d
         self.tower = a.tower
-        den = cross(a, b, c)
+        self._area = den = cross(a, b, c)
         self.alpha = cross(d, b, c) / den
         self.beta = cross(a, d, c) / den
         self.gamma = cross(a, b, d) / den
@@ -145,7 +146,7 @@ class _Frame:
 
     def to_frame(self, p: Point):
         """Frame coordinates of a real point as exact elements."""
-        den = cross(self.a, self.b, self.c)
+        den = self._area
         x = (cross(p, self.b, self.c) / den) / self.alpha
         y = (cross(self.a, p, self.c) / den) / self.beta
         z = (cross(self.a, self.b, p) / den) / self.gamma
@@ -156,19 +157,24 @@ class _Frame:
         return y / w, z / w
 
     def from_frame(self, u, v) -> Point:
-        """Real point with frame coordinates (u, v), exactly."""
-        one = self.tower.from_rational(1)
-        wa = self.alpha * self.tower.from_rational(Fraction(1) - u - v)
-        wb = self.beta * self.tower.from_rational(Fraction(u))
-        wc = self.gamma * self.tower.from_rational(Fraction(v))
-        s = wa + wb + wc
-        if not s:
+        """Real point with frame coordinates (u, v) in Q, exactly; on
+        term pairs, with one inverse."""
+        tw = self.tower
+        mul = tw._mul_t
+        a, b, c = self.a, self.b, self.c
+        wa = mul(self.alpha._terms, _rational_t(1 - u - v))
+        wb = mul(self.beta._terms, _rational_t(u))
+        wc = mul(self.gamma._terms, _rational_t(v))
+        s = _add_t(_add_t(wa, wb), wc)
+        if not s[0]:
             raise DegenerateInputError(
                 "frame point lies on the critical line")
-        inv = one / s
-        x = (wa * self.a.x + wb * self.b.x + wc * self.c.x) * inv
-        y = (wa * self.a.y + wb * self.b.y + wc * self.c.y) * inv
-        return Point(x, y)
+        inv = tw._inv_t(s)
+        x = _add_t(_add_t(mul(wa, a.x._terms), mul(wb, b.x._terms)),
+                   mul(wc, c.x._terms))
+        y = _add_t(_add_t(mul(wa, a.y._terms), mul(wb, b.y._terms)),
+                   mul(wc, c.y._terms))
+        return Point(tw._make(mul(x, inv)), tw._make(mul(y, inv)))
 
     # -- harmonic ladder --------------------------------------------
 

@@ -7,14 +7,17 @@ polynomial certifies an element's degree, the grid gaps measure how
 fine the straightedge-derivable grid of `net._Frame` gets, and
 `EveryPairRun` is the closure round that intersects every curve pair,
 the reference for the incidence shortcuts of `closure._Run.round`.
+The `ref_*` line kernels run only the general term-pair path, the
+reference for the rational lane of `geom.Line` and `geom._line_line`.
 """
 
 import math
 from fractions import Fraction
 
 from euclid.closure import _Run
+from euclid.errors import DegenerateInputError
 from euclid.field import _add_t, _indices, _neg_t, _split, _sub_t, _top
-from euclid.geom import Circle, Line, dist2, intersect
+from euclid.geom import Circle, Line, Point, dist2, intersect
 from euclid.net import _Frame, _require_scaffold
 
 
@@ -144,3 +147,60 @@ class EveryPairRun(_Run):
                         return True
             self.intersected = len(curves)
         return self.size > start
+
+
+# -- line kernels on the general term-pair path alone -------------------------
+
+def ref_line(a, b, c) -> Line:
+    """`Line(a, b, c)`, normalized with the general term-pair kernels."""
+    tw = a.tower
+    if a:
+        inv = tw._inv_t(a._terms)
+        a, b = tw.one, tw._make(tw._mul_t(b._terms, inv))
+    elif b:
+        inv = tw._inv_t(b._terms)
+        a, b = tw.zero, tw.one
+    else:
+        raise DegenerateInputError("line with zero normal vector")
+    line = object.__new__(Line)
+    line.a, line.b, line.c = a, b, tw._make(tw._mul_t(c._terms, inv))
+    return line
+
+
+def ref_through(p, q) -> Line:
+    """`Line.through(p, q)` on the general term-pair kernels."""
+    tw = p.tower
+    if p == q:
+        raise DegenerateInputError("line through two identical points")
+    a = _sub_t(q.y._terms, p.y._terms)
+    b = _sub_t(p.x._terms, q.x._terms)
+    c = _neg_t(_add_t(tw._mul_t(a, p.x._terms), tw._mul_t(b, p.y._terms)))
+    return ref_line(tw._make(a), tw._make(b), tw._make(c))
+
+
+def ref_det(u, v):
+    mul = u.tower._mul_t
+    return _sub_t(mul(u.a._terms, v.b._terms), mul(v.a._terms, u.b._terms))
+
+
+def ref_line_line(u, v) -> list:
+    """`geom._line_line(u, v)` on the general term-pair kernels."""
+    det = ref_det(u, v)
+    if not det[0]:
+        return []
+    tw = u.tower
+    mul = tw._mul_t
+    inv = tw._inv_t(det)
+    ua, ub, uc = u.a._terms, u.b._terms, u.c._terms
+    va, vb, vc = v.a._terms, v.b._terms, v.c._terms
+    x = mul(_sub_t(mul(ub, vc), mul(vb, uc)), inv)
+    y = mul(_sub_t(mul(va, uc), mul(ua, vc)), inv)
+    return [Point(tw._make(x), tw._make(y))]
+
+
+def ref_value(line, p):
+    """`line._value(p)` on the general term-pair kernels."""
+    v = line.tower._mul_t(line.b._terms, p.y._terms)
+    if line.a:
+        v = _add_t(p.x._terms, v)
+    return _add_t(v, line.c._terms)

@@ -3,14 +3,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from euclid import field, geom
 from euclid.errors import (
     DegenerateInputError,
     IdenticalCurvesError,
     RangeError,
+    ResourceLimitError,
     SessionMismatchError,
 )
-from euclid.field import Tower
+from euclid.field import MAX_COEFF_BITS, Tower
 from euclid.geom import (
+    _det,
+    _line_line,
     Circle,
     Line,
     Point,
@@ -25,6 +29,8 @@ from euclid.geom import (
     point,
     second_meet,
 )
+from engine_checks import (ref_det, ref_line, ref_line_line, ref_through,
+                           ref_value)
 
 
 @pytest.fixture
@@ -325,6 +331,154 @@ def test_kernels_match_operator_reference(u_spec, v_spec):
         assert [_terms(p) for p in intersect(g, h)] == \
             [_terms(p) for p in _ref_intersect(rg, rh)]
         assert mine._radicands == ref._radicands
+
+
+# The rational lane of `Line`, `_det` and `_line_line` against the
+# general term-pair path of `engine_checks`.  Each coordinate is a
+# rational, or in Q(sqrt 2) one time in eight, which sends every call it
+# takes part in down the general path.
+
+_lane_q = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 7))
+_lane_x = st.tuples(_lane_q, st.integers(0, 7), _lane_q)
+_lane_pt = st.tuples(_lane_x, _lane_x)
+# how the second point of u sits, how v sits against u, and which of
+# the coefficients handed to `Line` are zero
+_u_kinds = ("free", "horizontal", "vertical", "origin", "same")
+_v_kinds = ("free", "parallel", "identical")
+_abc_kinds = ("free", "a=0", "c=0", "a=b=0")
+F = Fraction
+
+
+def _lane_elt(tw, s, x):
+    """q + r*sqrt(2) for x = (q, 0, r); the rational q otherwise."""
+    q, k, r = x
+    return tw.from_rational(q) + (r * s if k == 0 else 0)
+
+
+def _lane_key(line):
+    return (line.a._terms, line.b._terms, line.c._terms), hash(line)
+
+
+def _lane_outcome(f, *args):
+    """What f gives, its key for a line and its points' term pairs for
+    a meet, or the type of the engine error it raises."""
+    try:
+        out = f(*args)
+    except (DegenerateInputError, IdenticalCurvesError) as e:
+        return type(e)
+    if isinstance(out, Line):
+        return _lane_key(out)
+    return [(_terms(p), hash(p)) for p in out]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(st.tuples(_lane_pt, _lane_pt, _lane_pt, _lane_pt),
+       st.sampled_from(_u_kinds), st.sampled_from(_v_kinds),
+       st.sampled_from(_abc_kinds), _lane_q.filter(lambda t: t not in (0, 1)))
+@example((((F(-1, 3), 1, 0), (2, 1, 0)), ((5, 1, 0), (F(7, 2), 1, 0)),
+          ((0, 1, 0), (-4, 1, 0)), ((F(2, 5), 1, 0), (F(-3, 4), 1, 0))),
+         "horizontal", "free", "a=0", F(-2, 3))        # a = 0, unequal dens
+@example((((F(3, 2), 1, 0), (F(-5, 7), 1, 0)), ((1, 1, 0), (1, 1, 0)),
+          ((1, 1, 0), (0, 1, 0)), ((0, 1, 0), (1, 1, 0))),
+         "origin", "parallel", "c=0", F(5, 3))         # c = 0, parallel
+@example((((F(1, 2), 1, 0), (F(1, 3), 1, 0)), ((-2, 1, 0), (3, 1, 0)),
+          ((1, 1, 0), (1, 1, 0)), ((0, 1, 0), (0, 1, 0))),
+         "vertical", "identical", "a=b=0", F(-1, 2))   # b = 0, identical
+@example((((1, 0, 1), (0, 1, 0)), ((2, 1, 0), (1, 1, 0)),
+          ((0, 1, 0), (3, 0, F(-1, 2))), ((1, 1, 0), (2, 1, 0))),
+         "free", "free", "free", F(2))                 # mixed operands
+def test_rational_lane_matches_term_pair_reference(pts, u_kind, v_kind,
+                                                    abc_kind, t):
+    tw = Tower()
+    s = tw.from_rational(2).sqrt()
+    p, q, r, w = (Point(_lane_elt(tw, s, x), _lane_elt(tw, s, y))
+                  for x, y in pts)
+    if u_kind == "horizontal":
+        q = Point(q.x, p.y)
+    elif u_kind == "vertical":
+        q = Point(p.x, q.y)
+    elif u_kind == "origin":
+        q = Point(t * p.x, t * p.y)
+    elif u_kind == "same":
+        q = p
+    if v_kind == "parallel":
+        r, w = Point(p.x + r.x, p.y + r.y), Point(q.x + r.x, q.y + r.y)
+    elif v_kind == "identical":
+        r = Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
+        w = Point(p.x + (t + 1) * (q.x - p.x), p.y + (t + 1) * (q.y - p.y))
+    a, b, c = p.x, q.y, r.x
+    if abc_kind != "free":
+        a = tw.zero
+        b = tw.zero if abc_kind == "a=b=0" else b
+        c = tw.zero if abc_kind == "c=0" else c
+    assert _lane_outcome(Line, a, b, c) == _lane_outcome(ref_line, a, b, c)
+    lines = []
+    for g, h in ((p, q), (r, w)):
+        got = _lane_outcome(Line.through, g, h)
+        assert got == _lane_outcome(ref_through, g, h)
+        if got is not DegenerateInputError:
+            lines.append(Line.through(g, h))
+    for line in lines:
+        for x in (p, q, r, w):
+            assert line._value(x) == ref_value(line, x)
+    if len(lines) < 2:
+        return
+    u, v = lines
+    for g, h in ((u, v), (v, u)):
+        assert _det(g, h) == ref_det(g, h)
+        meet = _lane_outcome(_line_line, g, h)
+        assert meet == _lane_outcome(ref_line_line, g, h)
+        if u == v:
+            assert meet == []
+            assert _lane_outcome(intersect, g, h) is IdenticalCurvesError
+        else:
+            assert _lane_outcome(intersect, g, h) == meet
+        for x in _line_line(g, h):
+            assert g._value(x) == ref_value(g, x) == ({}, 1)
+
+
+def test_rational_lane_keeps_the_coefficient_guard(tw):
+    # both raise in `Tower._make`: 1 - x*(x + 1) over x, and a meet at
+    # y = -x*(x + 1), each numerator past the guard's bits
+    guard = rf"^coefficient size guard exceeded \({MAX_COEFF_BITS} bits\)$"
+    x = 2 ** 35000
+    with pytest.raises(ResourceLimitError, match=guard):
+        Line.through(point(tw, x, 1), point(tw, 1, x + 1))
+    u = Line(tw.one, tw.from_rational(Fraction(1, x)), tw.one)
+    v = Line(tw.one, tw.from_rational(Fraction(1, x + 1)), tw.zero)
+    with pytest.raises(ResourceLimitError, match=guard):
+        intersect(u, v)
+    with pytest.raises(ResourceLimitError, match=guard):
+        ref_line_line(u, v)
+    # the guard bounds what the lane keeps: the general path also made
+    # the unnormalized coefficients, here past the guard, of y = x
+    m = Fraction(1, 2 ** 40000)
+    g, h = point(tw, m, m), point(tw, m / (1 + m), m / (1 + m))
+    with pytest.raises(ResourceLimitError, match=guard):
+        ref_through(g, h)
+    assert Line.through(g, h) == Line(tw.one, -tw.one, tw.zero)
+
+
+def test_rational_lines_join_and_meet_without_term_kernels(tw, monkeypatch):
+    r2 = tw.from_rational(2).sqrt()
+    calls = []
+    mul, add = Tower._mul_t, field._add_t
+    monkeypatch.setattr(
+        Tower, "_mul_t",
+        lambda self, u, v: calls.append("_mul_t") or mul(self, u, v))
+    monkeypatch.setattr(
+        field, "_add_t",
+        lambda u, v, s=1: calls.append("_add_t") or add(u, v, s))
+    monkeypatch.setattr(geom, "_add_t", field._add_t)
+    g = Line.through(point(tw, Fraction(-1, 3), 2),
+                     point(tw, 5, Fraction(7, 2)))
+    h = Line.through(point(tw, 0, 0), point(tw, 1, Fraction(-2, 5)))
+    (x,) = intersect(g, h)
+    assert g.contains(x) and h.contains(x) and intersects(g, h)
+    assert calls == []
+    # an irrational operand takes the general path, which the patch sees
+    Line.through(point(tw, 0, 0), Point(tw.one, r2))
+    assert "_mul_t" in calls and "_add_t" in calls
 
 
 def _ref_eval(c, p):

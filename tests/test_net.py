@@ -145,6 +145,38 @@ def test_axis_point_names_its_mediant_bound(monkeypatch):
         frame.axis_point("ab", Fraction(5, 13))
 
 
+def _operator_from_frame(frame, u, v):
+    """`_Frame.from_frame` written with the field's operators."""
+    tw = frame.tower
+    wa = frame.alpha * (1 - u - v)
+    wb = frame.beta * u
+    wc = frame.gamma * v
+    s = wa + wb + wc
+    x = (wa * frame.a.x + wb * frame.b.x + wc * frame.c.x) / s
+    y = (wa * frame.a.y + wb * frame.b.y + wc * frame.c.y) / s
+    return Point(x, y)
+
+
+@pytest.mark.parametrize("surd", [False, True])
+def test_from_frame_on_term_pairs_matches_the_operators(surd):
+    tw = Tower()
+    a, b, c, d = scaffold(tw)
+    if surd:        # D = (1, sqrt(2)/2), still inside the triangle
+        d = Point(tw.one, tw.from_rational(2).sqrt() / 2)
+    frame = _Frame(a, b, c, d)
+    for u, v in ((0, 0), (1, 0), (0, 1), (Fraction(1, 3), Fraction(2, 5)),
+                 (Fraction(-3, 7), Fraction(5, 4)), (Fraction(1, 2), 0)):
+        got = frame.from_frame(u, v)
+        want = _operator_from_frame(frame, u, v)
+        assert (got.x._terms, got.y._terms) == \
+            (want.x._terms, want.y._terms)
+        assert frame.to_frame(got) == (u, v)
+    if not surd:
+        # alpha = 1/2 and beta = gamma = 1/4: u + v = 2 is critical
+        with pytest.raises(DegenerateInputError, match="critical line"):
+            frame.from_frame(1, 1)
+
+
 def test_grid_gaps_start_exact_and_shrink_monotonically():
     tw = Tower()
     a, b, c, d = scaffold(tw)
