@@ -262,8 +262,8 @@ def cmd_game(args) -> int:
             f"Aborted ({outcome.reason}): {outcome.message}", "Aborted", 1
     if args.json:
         _emit({"command": "game", "outcome": {"kind": kind, "text": text},
-               "moves": [{"index": m.index, "text": m.text()}
-                         for m in record.moves]})
+               "moves": [{"index": m.round, "text": record.move_text(i)}
+                         for i, m in enumerate(record.moves)]})
     else:
         if args.transcript:
             print(record.transcript())

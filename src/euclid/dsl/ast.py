@@ -25,6 +25,16 @@ TEST_ARITY = {
 }
 
 
+# A cell condition's curve kind, and the sign of the curve's value on
+# the side it keeps.
+CELL_CONDS = {
+    "inside": (CIRCLE, -1),
+    "outside": (CIRCLE, 1),
+    "pos": (LINE, 1),
+    "neg": (LINE, -1),
+}
+
+
 @dataclass(frozen=True)
 class Pos:
     line: int

@@ -2,18 +2,20 @@
 
 Runs a parsed program over exact geometric inputs.  Every predicate is
 decided with exact sign tests.  The statement executor is a generator:
-it yields one request per construction or arbitrary-point statement
-(`RLine`, `RCircle`, `RIntersect`, `RPointInDisk`, `RPointInCell`) and
-binds the tuple of objects sent back; it constructs and checks nothing
-itself.  The caller builds a construction with the request's `build()`,
-whose `geom` constructors are the one test for degenerate steps, and
-answers a point request with one point that `answer_problem` accepts:
-`run` asks an oracle, and the game's scripted Alice forwards requests
-to the referee, which builds the objects and checks Bob's answer.  Runs
-abort with a stable machine-readable reason when a choose is not
-uniquely satisfied, an intersection has a different cardinality than
-declared, a while budget runs dry with its test still true, an oracle
-misbehaves, a step budget is exceeded, or a geometric step degenerates.
+it yields one request per construction or arbitrary-point statement, a
+`geom.Step` whose `made` is still empty (an arbitrary step's one parent
+is its region), and binds the tuple of objects sent back, which it then
+records as that step's `made` in the run trace; it constructs and
+checks nothing itself.  The caller builds a construction with the
+step's `build()`, whose `geom` constructors are the one test for
+degenerate steps, and answers a point request with one point that
+`answer_problem` accepts: `run` asks an oracle, and the game's scripted
+Alice forwards requests to the referee, which builds the objects and
+checks Bob's answer.  Runs abort with a stable machine-readable reason
+when a choose is not uniquely satisfied, an intersection has a
+different cardinality than declared, a while budget runs dry with its
+test still true, an oracle misbehaves, a step budget is exceeded, or a
+geometric step degenerates.
 """
 
 from __future__ import annotations
@@ -28,15 +30,14 @@ from ..geom import (
     Point,
     Step,
     between,
-    dist2,
     dist_compare,
     fmt,
-    intersect,
     intersects,
     orientation,
 )
 from ..regions import Cell, Disk, sample_point
 from .ast import (
+    CELL_CONDS,
     DiskExpr,
     If,
     LetArbitrary,
@@ -49,55 +50,7 @@ from .ast import (
     While,
 )
 
-_COND_SIGN = {"inside": -1, "outside": 1, "pos": 1, "neg": -1}
-
 MAX_STEPS = 10_000      # statements one run may execute
-
-
-# ---------------------------------------------------------------------------
-# Requests a run makes of its driver.
-
-@dataclass(frozen=True)
-class RLine:
-    p: Point
-    q: Point
-
-    def build(self) -> tuple:
-        return (Line.through(self.p, self.q),)
-
-
-@dataclass(frozen=True)
-class RCircle:
-    """Circle centered at o with the distance from a to b as radius."""
-
-    o: Point
-    a: Point
-    b: Point
-
-    def build(self) -> tuple:
-        return (Circle(self.o, dist2(self.a, self.b)),)
-
-
-@dataclass(frozen=True)
-class RIntersect:
-    g: object
-    h: object
-
-    def build(self) -> tuple:
-        return tuple(intersect(self.g, self.h))
-
-
-@dataclass(frozen=True)
-class RPointInDisk:
-    region: Disk
-
-
-@dataclass(frozen=True)
-class RPointInCell:
-    region: Cell
-
-
-Request = RLine | RCircle | RIntersect | RPointInDisk | RPointInCell
 
 
 def answer_problem(region, answer, tower) -> str | None:
@@ -177,7 +130,8 @@ def build_region(env: dict, tower, expr):
     """Materialize a disk or cell expression against an environment."""
     if isinstance(expr, DiskExpr):
         return Disk(env[expr.center], tower.from_rational(expr.r2))
-    conds = tuple((env[name], _COND_SIGN[kind]) for kind, name in expr.conds)
+    conds = tuple((env[name], CELL_CONDS[kind][1])
+                  for kind, name in expr.conds)
     return Cell(conds)
 
 
@@ -216,44 +170,45 @@ class _Run:
     def exec_stmt(self, st):
         """Execute one statement, yielding its requests.
 
-        The statement binds what the caller sends back; `asking` names
-        it while its request is pending.
+        The statement binds what the caller sends back and traces its
+        request with it; `asking` names the statement while its request
+        is pending.
         """
         self.tick()
+        env = self.env
         if isinstance(st, LetLine):
-            p, q = self.env[st.p], self.env[st.q]
             self.asking = f"line {st.name}"
-            obj, = yield RLine(p, q)
-            self.env[st.name] = obj
-            self.trace.append(Step("line", (obj,), (p, q),
-                                   label=f"{st.name} = line({st.p}, {st.q})"))
+            step = Step("line", (), (env[st.p], env[st.q]),
+                        label=f"{st.name} = line({st.p}, {st.q})")
+            step.made = yield step
+            env[st.name], = step.made
+            self.trace.append(step)
         elif isinstance(st, LetCircle):
-            center, a, b = (self.env[st.center], self.env[st.a],
-                            self.env[st.b])
             self.asking = f"circle {st.name}"
-            obj, = yield RCircle(center, a, b)
-            self.env[st.name] = obj
-            self.trace.append(Step(
-                "circle", (obj,), (center, a, b),
-                label=f"{st.name} = circle({st.center}; {st.a}, {st.b})"))
+            step = Step("circle", (), (env[st.center], env[st.a], env[st.b]),
+                        label=f"{st.name} = circle({st.center}; {st.a}, "
+                              f"{st.b})")
+            step.made = yield step
+            env[st.name], = step.made
+            self.trace.append(step)
         elif isinstance(st, LetIntersect):
-            g, h = self.env[st.g], self.env[st.h]
             self.asking = f"intersect({st.g}, {st.h})"
-            pts = yield RIntersect(g, h)
-            if len(pts) != len(st.names):
+            step = Step("intersect", (), (env[st.g], env[st.h]),
+                        label=f"[{', '.join(st.names)}] = "
+                              f"intersect({st.g}, {st.h})")
+            step.made = yield step
+            if len(step.made) != len(st.names):
                 self.abort("intersection-count-mismatch",
-                           f"intersect({st.g}, {st.h}) gave {len(pts)} "
-                           f"points, statement binds {len(st.names)}")
-            for name, p in zip(st.names, pts):
-                self.env[name] = p
-            self.trace.append(Step(
-                "intersect", pts, (g, h),
-                label=f"[{', '.join(st.names)}] = intersect({st.g}, {st.h})"))
+                           f"intersect({st.g}, {st.h}) gave "
+                           f"{len(step.made)} points, statement binds "
+                           f"{len(st.names)}")
+            env.update(zip(st.names, step.made))
+            self.trace.append(step)
         elif isinstance(st, LetChoose):
             passing = []
             for cand in st.candidates:
-                obj = self.env[cand]
-                args = [obj if n == st.name else self.env[n]
+                obj = env[cand]
+                args = [obj if n == st.name else env[n]
                         for n in st.test.args]
                 if decide(st.test.kind, args) != st.test.negated:
                     passing.append((cand, obj))
@@ -264,17 +219,17 @@ class _Run:
                            f"{len(st.candidates)} candidates pass "
                            f"({', '.join(names)})")
             cand, obj = passing[0]
-            self.env[st.name] = obj
+            env[st.name] = obj
             self.trace.append(Step(
                 "choose", (obj,), label=f"{st.name} = choose -> {cand}"))
         elif isinstance(st, LetArbitrary):
-            region = build_region(self.env, self.tower, st.region)
             self.asking = f"arbitrary {st.name}"
-            answer, = yield (RPointInDisk(region) if isinstance(region, Disk)
-                             else RPointInCell(region))
-            self.env[st.name] = answer
-            self.trace.append(Step(
-                "arbitrary", (answer,), label=f"{st.name} = arbitrary -> "))
+            step = Step("arbitrary", (),
+                        (build_region(env, self.tower, st.region),),
+                        label=f"{st.name} = arbitrary -> ")
+            step.made = yield step
+            env[st.name], = step.made
+            self.trace.append(step)
         elif isinstance(st, If):
             if self.eval_test(st.test):
                 yield from self.exec_block(st.then)
@@ -291,16 +246,17 @@ class _Run:
         else:       # pragma: no cover - checker admits no other nodes
             raise TypeError(f"unexpected statement {st!r}")
 
-    def ask(self, oracle, request) -> tuple:
+    def ask(self, oracle, request: Step) -> tuple:
         """What a request made: a construction's built objects, or the
         oracle's verified answer to a point request as a 1-tuple."""
-        if not isinstance(request, (RPointInDisk, RPointInCell)):
+        if request.rule != "arbitrary":
             try:
                 return request.build()
             except DegenerateInputError as exc:
                 self.abort("degenerate-step", f"{self.asking}: {exc}")
-        answer = oracle.answer(request.region, self)
-        problem = answer_problem(request.region, answer, self.tower)
+        region, = request.parents
+        answer = oracle.answer(region, self)
+        problem = answer_problem(region, answer, self.tower)
         if problem is not None:
             self.abort("region-scan-exhausted" if answer is None
                        else "oracle-violation", f"{self.asking}: {problem}")
@@ -376,9 +332,9 @@ def run(program: Program, inputs, oracle=None) -> RunResult:
 
 
 def requests(program: Program, inputs):
-    """A run of a checked program as a generator of its requests.
+    """A run of a checked program as a generator of its request steps.
 
-    Send back in the tuple each request made: a construction request's
+    Send back in the tuple each request made: a construction step's
     objects as its `build()` gives them, a point request's answer as a
     1-tuple.  The generator checks neither: the caller meets a
     degenerate step as the DegenerateInputError of `build()` and judges

@@ -31,6 +31,7 @@ from fractions import Fraction
 
 from ..errors import CheckError, ParseError
 from .ast import (
+    CELL_CONDS,
     CIRCLE,
     LINE,
     POINT,
@@ -58,9 +59,6 @@ KEYWORDS = frozenset({
 } | set(TEST_ARITY))
 
 PUNCT = "(){}[],;|=/"
-
-COND_KINDS = {"inside": CIRCLE, "outside": CIRCLE, "pos": LINE, "neg": LINE}
-
 
 class _Token:
     __slots__ = ("kind", "text", "line", "col")
@@ -300,7 +298,7 @@ class _Parser:
 
     def signcond(self) -> tuple[str, str]:
         tok = self.next()
-        if tok.kind not in COND_KINDS:
+        if tok.kind not in CELL_CONDS:
             raise ParseError("expected inside/outside/pos/neg",
                              tok.line, tok.col)
         self.expect("(")
@@ -435,7 +433,7 @@ def _check_block(stmts, env: dict, in_loop: bool):
                 _want(env, region.center, (POINT,), region.pos, "in_disk")
             else:
                 for cond_kind, name in region.conds:
-                    _want(env, name, (COND_KINDS[cond_kind],), region.pos,
+                    _want(env, name, (CELL_CONDS[cond_kind][0],), region.pos,
                           cond_kind)
             _bind(env, st.name, POINT, in_loop, st.pos)
         elif isinstance(st, If):

@@ -4,32 +4,26 @@ Alice tries to make a target object appear in the position by issuing
 requests; construction requests (line, circle, intersection) are
 executed deterministically by the referee, while point requests name an
 open region and are answered by Bob, whose answer is verified exactly
-before it is admitted.  Adversaries include a benign seeded sampler and
-a certificate player that answers only with members of a prescribed
-dense closed set; `check_certificate` probes such a set for the
-falsifiable consequences of being a valid negative certificate.
+before it is admitted.  A request is a `geom.Step` whose `made` is still
+empty, and a play's record is the list of filled steps, one per move,
+so `net.replay_trace` re-derives it like any other trace.  Adversaries
+include a benign seeded sampler and a certificate player that answers
+only with members of a prescribed dense closed set; `check_certificate`
+probes such a set for the falsifiable consequences of being a valid
+negative certificate.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .closure import Budget, expand_once
 from .dsl.ast import Program
-from .dsl.interp import (
-    RCircle,
-    RIntersect,
-    RLine,
-    RPointInCell,
-    RPointInDisk,
-    SamplingOracle,
-    answer_problem,
-    requests,
-)
+from .dsl.interp import SamplingOracle, answer_problem, requests
 from .errors import DegenerateInputError, RunAbort
-from .geom import Circle, Line, Point, fmt, point
+from .geom import Circle, Line, Point, Step, fmt, point
 from .regions import Cell, Disk
 
 STRAIGHTEDGE_OPS = frozenset({"line", "intersect"})
@@ -40,15 +34,31 @@ SUBSET_SIZE = 2         # points in each of those sets
 
 
 # ---------------------------------------------------------------------------
-# Outcomes.  The requests (RLine, RCircle, RIntersect, RPointInDisk,
-# RPointInCell) are the interpreter's, re-exported here.
+# Requests and outcomes.
 
-class _Stop:
-    def __repr__(self) -> str:
-        return "Stop"
+STOP = Step("stop")     # the request of a strategy that gives up
 
 
-STOP = _Stop()
+def RLine(p: Point, q: Point) -> Step:
+    return Step("line", (), (p, q))
+
+
+def RCircle(o: Point, a: Point, b: Point) -> Step:
+    """Circle centered at o with the distance from a to b as radius."""
+    return Step("circle", (), (o, a, b))
+
+
+def RIntersect(g, h) -> Step:
+    return Step("intersect", (), (g, h))
+
+
+def RPointInDisk(region) -> Step:
+    """A point request; the type of its region, a Disk or a Cell, says
+    which kind it is."""
+    return Step("arbitrary", (), (region,))
+
+
+RPointInCell = RPointInDisk
 
 
 @dataclass(frozen=True)
@@ -67,15 +77,20 @@ class Aborted:
     message: str = ""
 
 
-def _request_text(request) -> str:
-    if isinstance(request, RLine):
-        return f"line {fmt(request.p)} {fmt(request.q)}"
-    if isinstance(request, RCircle):
-        return (f"circle center {fmt(request.o)} "
-                f"radius |{fmt(request.a)} {fmt(request.b)}|")
-    if isinstance(request, RIntersect):
-        return f"intersect {fmt(request.g)} with {fmt(request.h)}"
-    return f"point in {request.region!r}"
+def _request_text(step: Step) -> str:
+    rule, parents = step.rule, step.parents
+    if rule == "line":
+        p, q = parents
+        return f"line {fmt(p)} {fmt(q)}"
+    if rule == "circle":
+        o, a, b = parents
+        return f"circle center {fmt(o)} radius |{fmt(a)} {fmt(b)}|"
+    if rule == "intersect":
+        g, h = parents
+        return f"intersect {fmt(g)} with {fmt(h)}"
+    if rule == "arbitrary":
+        return f"point in {parents[0]!r}"
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +110,9 @@ class Position:
 
     @property
     def tower(self):
-        for obj in self.points + self.curves:
-            return obj.tower
+        for objs in (self.points, self.curves):
+            if objs:
+                return objs[0].tower
         raise ValueError("empty position has no tower")
 
     def add(self, obj) -> bool:
@@ -116,32 +132,24 @@ class Position:
 
 
 @dataclass
-class GameMove:
-    index: int
-    request: object
-    made: tuple     # all the referee built, new or not, or Bob's one point
-    added: tuple
-
-    def text(self) -> str:
-        bob = fmt(self.made[0]) \
-            if isinstance(self.request, (RPointInDisk, RPointInCell)) else "-"
-        if self.request is STOP:
-            alice = "stop"
-        else:
-            alice = _request_text(self.request)
-        grew = "; ".join(fmt(o) for o in self.added) or "nothing"
-        return f"move {self.index}: ALICE {alice} / BOB {bob} / " \
-               f"POSITION +{grew}"
-
-
-@dataclass
 class GameRecord:
+    """A play: one filled request step per move, `round` its number,
+    and beside each what it added to the position."""
+
     outcome: object
-    moves: list[GameMove]
+    moves: list[Step]
     position: Position
+    added: list[tuple] = field(default_factory=list)
+
+    def move_text(self, i: int) -> str:
+        step = self.moves[i]
+        bob = fmt(step.made[0]) if step.rule == "arbitrary" else "-"
+        grew = "; ".join(fmt(o) for o in self.added[i]) or "nothing"
+        return f"move {step.round}: ALICE {_request_text(step)} / " \
+               f"BOB {bob} / POSITION +{grew}"
 
     def transcript(self) -> str:
-        lines = [m.text() for m in self.moves]
+        lines = [self.move_text(i) for i in range(len(self.moves))]
         lines.append(f"outcome: {self.outcome}")
         return "\n".join(lines)
 
@@ -149,55 +157,58 @@ class GameRecord:
 # ---------------------------------------------------------------------------
 # Referee.
 
+# A construction rule's operand count and type, and an operand's name
+# in a message.
+_OPERANDS = {
+    "line": (2, Point, "line endpoint"),
+    "circle": (3, Point, "circle reference"),
+    "intersect": (2, (Line, Circle), "intersection operand"),
+}
+
+
 def _validate(request, position: Position) -> str | None:
-    """A malformed-request message when the request names anything
-    outside the position, or a disk from another tower, or None.
-    Degenerate constructions are left to the request's `build()`."""
-    if isinstance(request, RLine):
-        for p in (request.p, request.q):
-            if not position.contains(p):
-                return f"line endpoint {fmt(p)} is not in the position"
+    """A malformed-request message when the request has the wrong
+    operands or names anything outside the position, or a region that
+    is neither a disk of this session nor a cell, or None.  Degenerate
+    constructions are left to the step's `build()`."""
+    rule = getattr(request, "rule", None)
+    if rule not in _OPERANDS and rule != "arbitrary":
+        return f"unknown request {request!r}"
+    count, kind, what = _OPERANDS.get(rule, (1, None, None))
+    if len(request.parents) != count:
+        return f"{rule} request with {len(request.parents)} operands"
+    if rule != "arbitrary":
+        for obj in request.parents:
+            if not isinstance(obj, kind) or not position.contains(obj):
+                return f"{what} {fmt(obj)} is not in the position"
         return None
-    if isinstance(request, RCircle):
-        for p in (request.o, request.a, request.b):
-            if not position.contains(p):
-                return f"circle reference {fmt(p)} is not in the position"
-        return None
-    if isinstance(request, RIntersect):
-        for c in (request.g, request.h):
-            if not isinstance(c, (Line, Circle)) or not position.contains(c):
-                return f"intersection operand {fmt(c)} is not in the position"
-        return None
-    if isinstance(request, RPointInDisk):
-        disk = request.region
-        if not isinstance(disk, Disk):
-            return "disk request without a disk"
+    region, = request.parents
+    if isinstance(region, Disk):
         tower = position.tower
-        if disk.center.tower is not tower or disk.r2.tower is not tower:
+        if region.center.tower is not tower or region.r2.tower is not tower:
             return "disk request from another session"
         return None
-    if isinstance(request, RPointInCell):
-        if not isinstance(request.region, Cell):
-            return "cell request without a cell"
-        for curve, _ in request.region.conds:
+    if isinstance(region, Cell):
+        for curve, _ in region.conds:
             if not position.contains(curve):
                 return f"cell condition on {fmt(curve)} outside the position"
         return None
-    return f"unknown request {request!r}"
+    return f"point request in {region!r}, neither a disk nor a cell"
 
 
 def play(points, curves, target, alice, bob,
          max_moves: int = DEFAULT_MAX_MOVES) -> GameRecord:
     """Referee a game from the configuration (points, curves).
 
-    Alice is a callable (position, moves_so_far) -> Request or STOP.
-    The referee builds construction requests with their `build()`, and
-    Bob answers point requests via `answer(region, position)`; the
-    answer counts when `answer_problem` accepts it.  The game ends with
-    AliceWins when the target is in the position, Timeout at the move
-    budget or when Alice stops, and Aborted with its reason when Alice
-    raises RunAbort (a scripted Alice's run aborted), a request is
-    malformed or degenerate, or Bob misbehaves.
+    Alice is a callable (position, moves_so_far) -> request step or
+    STOP.  The referee builds construction requests with their
+    `build()`, and Bob answers point requests via `answer(region,
+    position)`; the answer counts when `answer_problem` accepts it.
+    Each move is recorded as `Step(rule, made, parents, round=move)`.
+    The game ends with AliceWins when the target is in the position,
+    Timeout at the move budget or when Alice stops, and Aborted with its
+    reason when Alice raises RunAbort (a scripted Alice's run aborted),
+    a request is malformed or degenerate, or Bob misbehaves.
     """
     position = Position(points, curves)
     record = GameRecord(None, [], position)
@@ -210,17 +221,19 @@ def play(points, curves, target, alice, bob,
         except RunAbort as exc:
             record.outcome = Aborted(exc.reason, exc.message)
             return record
-        if request is STOP:
-            record.moves.append(GameMove(index, STOP, (), ()))
+        if getattr(request, "rule", None) == "stop":
+            record.moves.append(Step("stop", round=index))
+            record.added.append(())
             record.outcome = Timeout(max_moves)
             return record
         problem = _validate(request, position)
         if problem is not None:
             record.outcome = Aborted("malformed-request", problem)
             return record
-        if isinstance(request, (RPointInDisk, RPointInCell)):
-            answer = bob.answer(request.region, position)
-            problem = answer_problem(request.region, answer, position.tower)
+        if request.rule == "arbitrary":
+            region = request.parents[0]
+            answer = bob.answer(region, position)
+            problem = answer_problem(region, answer, position.tower)
             if problem is not None:
                 record.outcome = Aborted(
                     "region-scan-exhausted" if answer is None
@@ -233,8 +246,9 @@ def play(points, curves, target, alice, bob,
             except DegenerateInputError as exc:
                 record.outcome = Aborted("malformed-request", str(exc))
                 return record
-        added = tuple(obj for obj in made if position.add(obj))
-        record.moves.append(GameMove(index, request, made, added))
+        record.moves.append(Step(request.rule, made, request.parents,
+                                 round=index))
+        record.added.append(tuple(obj for obj in made if position.add(obj)))
         if position.contains(target):
             record.outcome = AliceWins(index)
             return record
@@ -249,8 +263,8 @@ class ScriptedAlice:
     """Plays a checked construction program as a request strategy.
 
     Drives the construction-program interpreter as a request generator:
-    each construction or point request goes to the referee, and what
-    the last move made is sent back in (the referee's objects after a
+    each request step it yields goes to the referee, and what the last
+    move made is sent back in (the referee's objects after a
     construction request, Bob's verified point after a point request).
     choose, if, and while run privately on the interpreter's mirror of
     the position, which holds the referee's own objects, so Alice never

@@ -256,16 +256,19 @@ def fmt(obj) -> str:
 
 @dataclass(slots=True)
 class Step:
-    """One recorded construction step of a run, a closure or a densify.
+    """One recorded step of a run, a closure, a densify or a game play.
 
     `made` is what the step produced and `parents` its operands; `round`
-    is the closure round.  Layouts by rule, made / parents:
-      input, given, arbitrary, choose:  (obj,) / ()
+    is the closure round, or in a play the move number.  A request is a
+    step whose `made` is still empty.  Layouts by rule, made / parents:
+      input, given, choose:  (obj,) / ()
+      arbitrary:  (point,) / (region,)
       line:       (line,) / (p, q)
       circle:     (circle,) / (center, a, b)
       intersect:  (*points) / (g, h)
       test:       (value, kind, negated) / argument objects
       abort:      () / (), the reason in the label
+      stop:       () / (), a play's last move when Alice gives up
 
     A closure records one step per admitted object, a densify one point
     per intersect step.  `text` is built when it is read: the label,
@@ -284,6 +287,19 @@ class Step:
         if self.rule in ("input", "arbitrary"):
             return self.label + fmt(self.made[0])
         return self.label
+
+    def build(self) -> tuple:
+        """What a line, circle or intersect step makes from its parents.
+        A degenerate step raises the DegenerateInputError of the `Line`,
+        `Circle` or `intersect` it calls."""
+        if self.rule == "line":
+            return (Line.through(*self.parents),)
+        if self.rule == "circle":
+            center, a, b = self.parents
+            return (Circle(center, dist2(a, b)),)
+        if self.rule == "intersect":
+            return tuple(intersect(*self.parents))
+        raise ValueError(f"a {self.rule} step builds nothing")
 
 
 # -- scalar helpers ----------------------------------------------------------

@@ -10,11 +10,11 @@ assembles a derivable point within a requested distance, returning the
 full construction trace.  `RestrictedAlice` uses the same machinery
 to translate disk requests of a game strategy into cell requests (a
 triangle's interior is `regions.triangle_cell`) plus construction
-moves.
+moves, passing on densify's trace steps as its requests.
 
 `replay_trace` re-derives a trace of `geom.Step` records from its
-initial objects, whichever engine wrote it: a run, a closure or a
-densify.
+initial objects, whichever engine wrote it: a run, a closure, a densify
+or a game play.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from itertools import combinations
 
 from .errors import DegenerateInputError, ResourceLimitError, ScopeError
 from .field import _add_t, _rational_t
-from .game import (STOP, GameMove, RCircle, RIntersect, RLine, RPointInCell,
-                   RPointInDisk)
+from .game import STOP, RLine, RPointInCell
 from .geom import Line, Point, Step, cross, dist2, intersect, orientation
-from .regions import Cell, contains_closed_disk, triangle_cell
+from .regions import Cell, Disk, contains_closed_disk, triangle_cell
 
 DEFAULT_MAX_ITERATIONS = 96
 WALK_STEPS_PER_ITERATION = 4
@@ -50,39 +49,43 @@ def straightedge_only(trace) -> bool:
     return all(step.rule in ("line", "intersect") for step in trace)
 
 
-# A construction step's request: its parents are the request's fields.
-_REQUEST = {"line": RLine, "circle": RCircle, "intersect": RIntersect}
-
-
 def replay_trace(trace, objects) -> bool:
-    """Re-derive a run, closure or densify trace, checking every step.
+    """Re-derive a run, closure, densify or play trace, checking every step.
 
     `objects` are known from the start.  Input, given and arbitrary
-    steps make their object known; test and abort steps are skipped.
-    A line, circle or intersect step must take only known parents, and
-    every object it made must be in what its request builds from them;
-    a choose step must pick a known object.  Any other rule, a
+    steps make their object known, and an arbitrary step's point must
+    lie strictly inside its region; test, abort and stop steps are
+    skipped.  A line, circle or intersect step must take only known
+    parents, and every object it made must be in what its `build()`
+    gives; a choose step must pick a known object.  Any other rule, a
     degenerate construction step, or any failed check gives False.
     """
     known = set(objects)
     for step in trace:
         rule, made, parents = step.rule, step.made, step.parents
-        if rule in _REQUEST:
+        if rule in ("line", "circle", "intersect"):
             if not known.issuperset(parents):
                 return False
             try:
-                redo = _REQUEST[rule](*parents).build()
+                redo = step.build()
             except DegenerateInputError:
                 return False
             for m in made:
                 if m not in redo:
                     return False
         elif rule == "choose":
-            if made[0] not in known:
+            if len(made) != 1 or made[0] not in known:
                 return False
-        elif rule in ("test", "abort"):
+        elif rule == "arbitrary":
+            if len(parents) != 1 or len(made) != 1:
+                return False
+            region, p = parents[0], made[0]
+            if not isinstance(region, (Disk, Cell)) \
+                    or not isinstance(p, Point) or not region.contains(p):
+                return False
+        elif rule in ("test", "abort", "stop"):
             continue
-        elif rule not in ("input", "given", "arbitrary"):
+        elif rule not in ("input", "given"):
             return False
         known.update(made)
     return True
@@ -380,20 +383,22 @@ class RestrictedAlice:
     Disk requests are simulated: a scaffold triangle around the disk is
     gathered from up to SCAFFOLD_TRIES cell requests, its sides are
     requested, an interior companion is requested from the triangle's
-    cell, and the densification trace is replayed as line and
-    intersection requests until a derivable point lands inside the
-    disk.  That point is then presented to the inner strategy as if Bob
-    had answered the original request.  The translation runs as one
-    generator that each call resumes with the last move; once it ends
-    the strategy stops.  Raises ResourceLimitError when it would issue
-    more than TRANSLATION_BUDGET moves.
+    cell, and the steps of a densification trace toward the center are
+    passed on as they are, as line and intersection requests, until a
+    derivable point lands inside the disk (the referee reads only a
+    request's rule and parents).  That point is then presented to the
+    inner strategy as if Bob had answered the original request.  The
+    translation runs as one generator that each call resumes with the
+    last move; once it ends the strategy stops.  Raises
+    ResourceLimitError when it would issue more than TRANSLATION_BUDGET
+    moves.
     """
 
     def __init__(self, inner):
         self.inner = inner
         self.budget = TRANSLATION_BUDGET
         self._position = None
-        self._virtual: list[GameMove] = []
+        self._virtual: list[Step] = []
         self._requests = self._drive()
 
     def __call__(self, position, moves):
@@ -401,31 +406,29 @@ class RestrictedAlice:
         # a game's first call has no moves yet
         move = moves[-1] if moves else None
         try:
-            return self._requests.send(move)
+            request = self._requests.send(move)
         except StopIteration:
             return STOP
-
-    def _spend(self):
         self.budget -= 1
         if self.budget < 0:
             raise ResourceLimitError(
                 f"translation budget exceeded (TRANSLATION_BUDGET="
                 f"{TRANSLATION_BUDGET})")
+        return request
 
     def _drive(self):
         while True:
             request = self.inner(self._position, self._virtual)
-            if request is STOP:
+            if request.rule == "stop":
                 return
-            if isinstance(request, RPointInDisk):
-                answer = yield from self._translate(request.region)
+            if request.rule == "arbitrary" and \
+                    isinstance(request.parents[0], Disk):
+                answer = yield from self._translate(request.parents[0])
                 self._virtual.append(
-                    GameMove(len(self._virtual) + 1, request, (answer,),
-                             (answer,)))
+                    Step("arbitrary", (answer,), request.parents,
+                         round=len(self._virtual) + 1))
             else:
-                self._spend()
-                move = yield request
-                self._virtual.append(move)
+                self._virtual.append((yield request))
 
     def _translate(self, disk):
         center, r2 = disk.center, disk.r2
@@ -433,12 +436,10 @@ class RestrictedAlice:
         if len(points) < 2:
             raise ResourceLimitError(
                 "translation needs two position points to start from")
-        self._spend()
         base, = (yield RLine(points[0], points[1])).made
         candidates = []
         for attempt in range(SCAFFOLD_TRIES):
             sign = 1 if attempt % 2 == 0 else -1
-            self._spend()
             move = yield RPointInCell(Cell(((base, sign),)))
             candidates.append(move.made[0])
             found = self._containing_triangle(candidates, center, r2)
@@ -449,17 +450,14 @@ class RestrictedAlice:
                 "translation found no triangle containing the disk")
         (ta, tb, tc), cell = found
         for p, q in ((ta, tb), (tb, tc), (tc, ta)):
-            self._spend()
             yield RLine(p, q)
         # the referee compares curves structurally, so the cell's sides
         # are the lines just requested
-        self._spend()
         companion, = (yield RPointInCell(cell)).made
         result = densify(ta, tb, tc, companion, center,
                          self._disk_eps(r2))
         for step in result.trace:
-            self._spend()
-            yield _REQUEST[step.rule](*step.parents)
+            yield step
         return result.point
 
     @staticmethod

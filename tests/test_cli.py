@@ -240,18 +240,88 @@ def test_game_certificate_bob(capsys):
     assert out == "AliceWins after 6 moves\n"
 
 
+# The midpoint play on configs/ab.cfg, byte for byte.  It requests no
+# point, so both adversaries see the same six moves.
+_MIDPOINT_TRANSCRIPT = (
+    "move 1: ALICE circle center (<0 ~ 0>, <0 ~ 0>) radius |(<0 "
+    "~ 0>, <0 ~ 0>) (<2 ~ 2>, <0 ~ 0>)| / BOB - / POSITION "
+    "+Circle(Point(<0 ~ 0>, <0 ~ 0>), r2=<4 ~ 4>)\n"
+    "move 2: ALICE circle center (<2 ~ 2>, <0 ~ 0>) radius |(<0 "
+    "~ 0>, <0 ~ 0>) (<2 ~ 2>, <0 ~ 0>)| / BOB - / POSITION "
+    "+Circle(Point(<2 ~ 2>, <0 ~ 0>), r2=<4 ~ 4>)\n"
+    "move 3: ALICE intersect Circle(Point(<0 ~ 0>, <0 ~ 0>), "
+    "r2=<4 ~ 4>) with Circle(Point(<2 ~ 2>, <0 ~ 0>), r2=<4 ~ "
+    "4>) / BOB - / POSITION +(<1 ~ 1>, <-1/2*sqrt(12) ~ "
+    "-1.73205>); (<1 ~ 1>, <1/2*sqrt(12) ~ 1.73205>)\n"
+    "move 4: ALICE line (<1 ~ 1>, <-1/2*sqrt(12) ~ -1.73205>) "
+    "(<1 ~ 1>, <1/2*sqrt(12) ~ 1.73205>) / BOB - / POSITION "
+    "+Line(<1 ~ 1>, <0 ~ 0>, <-1 ~ -1>)\n"
+    "move 5: ALICE line (<0 ~ 0>, <0 ~ 0>) (<2 ~ 2>, <0 ~ 0>) / "
+    "BOB - / POSITION +Line(<0 ~ 0>, <1 ~ 1>, <0 ~ 0>)\n"
+    "move 6: ALICE intersect Line(<1 ~ 1>, <0 ~ 0>, <-1 ~ -1>) "
+    "with Line(<0 ~ 0>, <1 ~ 1>, <0 ~ 0>) / BOB - / POSITION "
+    "+(<1 ~ 1>, <0 ~ 0>)\n"
+    "outcome: AliceWins(moves=6)\n"
+    "AliceWins after 6 moves\n")
+
+_MIDPOINT_JSON = (
+    '{\n'
+    '  "command": "game",\n'
+    '  "outcome": {\n'
+    '    "kind": "AliceWins",\n'
+    '    "text": "AliceWins after 6 moves"\n'
+    '  },\n'
+    '  "moves": [\n'
+    '    {\n'
+    '      "index": 1,\n'
+    '      "text": "move 1: ALICE circle center (<0 ~ 0>, <0 ~ '
+    '0>) radius |(<0 ~ 0>, <0 ~ 0>) (<2 ~ 2>, <0 ~ 0>)| / BOB - '
+    '/ POSITION +Circle(Point(<0 ~ 0>, <0 ~ 0>), r2=<4 ~ 4>)"\n'
+    '    },\n'
+    '    {\n'
+    '      "index": 2,\n'
+    '      "text": "move 2: ALICE circle center (<2 ~ 2>, <0 ~ '
+    '0>) radius |(<0 ~ 0>, <0 ~ 0>) (<2 ~ 2>, <0 ~ 0>)| / BOB - '
+    '/ POSITION +Circle(Point(<2 ~ 2>, <0 ~ 0>), r2=<4 ~ 4>)"\n'
+    '    },\n'
+    '    {\n'
+    '      "index": 3,\n'
+    '      "text": "move 3: ALICE intersect Circle(Point(<0 ~ '
+    '0>, <0 ~ 0>), r2=<4 ~ 4>) with Circle(Point(<2 ~ 2>, <0 ~ '
+    '0>), r2=<4 ~ 4>) / BOB - / POSITION +(<1 ~ 1>, '
+    '<-1/2*sqrt(12) ~ -1.73205>); (<1 ~ 1>, <1/2*sqrt(12) ~ '
+    '1.73205>)"\n'
+    '    },\n'
+    '    {\n'
+    '      "index": 4,\n'
+    '      "text": "move 4: ALICE line (<1 ~ 1>, <-1/2*sqrt(12) '
+    '~ -1.73205>) (<1 ~ 1>, <1/2*sqrt(12) ~ 1.73205>) / BOB - / '
+    'POSITION +Line(<1 ~ 1>, <0 ~ 0>, <-1 ~ -1>)"\n'
+    '    },\n'
+    '    {\n'
+    '      "index": 5,\n'
+    '      "text": "move 5: ALICE line (<0 ~ 0>, <0 ~ 0>) (<2 ~ '
+    '2>, <0 ~ 0>) / BOB - / POSITION +Line(<0 ~ 0>, <1 ~ 1>, <0 '
+    '~ 0>)"\n'
+    '    },\n'
+    '    {\n'
+    '      "index": 6,\n'
+    '      "text": "move 6: ALICE intersect Line(<1 ~ 1>, <0 ~ '
+    '0>, <-1 ~ -1>) with Line(<0 ~ 0>, <1 ~ 1>, <0 ~ 0>) / BOB - '
+    '/ POSITION +(<1 ~ 1>, <0 ~ 0>)"\n'
+    '    }\n'
+    '  ]\n'
+    '}\n')
+
+
 def test_game_transcript_and_json(capsys):
-    code, out, _ = invoke(capsys, "game", AB, "--target", "M",
-                          "--alice", "corpus:midpoint",
-                          "--bob", "sampling:0", "--transcript")
-    assert code == 0
-    assert "intersect" in out
-    code, out, _ = invoke(capsys, "game", AB, "--target", "M",
-                          "--alice", "corpus:midpoint",
-                          "--bob", "sampling:0", "--json")
-    doc = json.loads(out)
-    assert doc["outcome"]["kind"] == "AliceWins"
-    assert len(doc["moves"]) == 6
+    for bob in ("sampling:0", "certificate:rational-plane"):
+        for flag, expected in (("--transcript", _MIDPOINT_TRANSCRIPT),
+                               ("--json", _MIDPOINT_JSON)):
+            code, out, _ = invoke(capsys, "game", AB, "--target", "M",
+                                  "--alice", "corpus:midpoint",
+                                  "--bob", bob, flag)
+            assert (code, out) == (0, expected), (bob, flag)
 
 
 def test_game_scripted_abort_keeps_its_reason(capsys, tmp_path):

@@ -10,7 +10,7 @@ from euclid.dsl import (
     run,
 )
 from euclid.dsl import interp
-from euclid.dsl.interp import RCircle, RIntersect, RLine, requests
+from euclid.dsl.interp import requests
 from euclid.errors import CheckError, ParseError, RunAbort
 from euclid.field import Tower
 from euclid.geom import Circle, Line, dist2, point
@@ -71,25 +71,29 @@ def test_midpoint_runs_exactly(tw):
 def test_requests_bind_the_objects_sent_back(tw):
     # Each construction request is answered with objects built here; the
     # interpreter builds none itself, so later requests take these very
-    # objects as operands.
+    # objects as operands, and each request step is filled with them.
     a, b = point(tw, 0, 0), point(tw, 2, 0)
     steps = requests(parse_program(MIDPOINT), [a, b])
-    assert steps.send(None) == RCircle(a, a, b)
+    first = steps.send(None)
+    assert (first.rule, first.made, first.parents) == ("circle", (), (a, a, b))
     k1 = Circle(a, dist2(a, b))
-    assert steps.send((k1,)) == RCircle(b, a, b)
+    second = steps.send((k1,))
+    assert first.made == (k1,)
+    assert (second.rule, second.parents) == ("circle", (b, a, b))
     k2 = Circle(b, dist2(a, b))
     cross = steps.send((k2,))
-    assert isinstance(cross, RIntersect)
-    assert cross.g is k1 and cross.h is k2
+    assert cross.rule == "intersect"
+    assert cross.parents[0] is k1 and cross.parents[1] is k2
     pq = tuple(geom_intersect(k1, k2))
     chord = steps.send(pq)
-    assert isinstance(chord, RLine)
-    assert chord.p is pq[0] and chord.q is pq[1]
+    assert cross.made == pq
+    assert chord.rule == "line"
+    assert chord.parents[0] is pq[0] and chord.parents[1] is pq[1]
     l = Line.through(*pq)
-    assert steps.send((l,)) == RLine(a, b)
+    assert steps.send((l,)).parents == (a, b)
     ab = Line.through(a, b)
     last = steps.send((ab,))
-    assert last.g is l and last.h is ab
+    assert last.parents[0] is l and last.parents[1] is ab
     with pytest.raises(StopIteration):
         steps.send(tuple(geom_intersect(l, ab)))
 

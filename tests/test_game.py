@@ -29,7 +29,7 @@ from euclid.game import (
     sampling_bob,
     scripted_alice,
 )
-from euclid.geom import Circle, Line, Point, point
+from euclid.geom import Circle, Line, Point, Step, point
 from euclid.regions import Cell, Disk
 
 
@@ -73,7 +73,7 @@ def test_referee_soundness_every_object_from_one_request():
     a, b = point(tw, 0, 0), point(tw, 2, 0)
     alice = scripted_alice(corpus.load_program("midpoint"), [a, b])
     record = play([a, b], [], point(tw, 1, 0), alice, sampling_bob(0))
-    added = [obj for move in record.moves for obj in move.added]
+    added = [obj for made in record.added for obj in made]
     assert record.position.size == 2 + len(added)
     assert all(record.position.contains(obj) for obj in added)
 
@@ -97,23 +97,9 @@ def test_scripted_alice_stops_after_script_without_win():
     record = play([a, b], [], point(tw, 9, 9), alice, sampling_bob(0),
                   max_moves=20)
     assert record.outcome == Timeout(20)
-    assert record.moves[-1].text().endswith("ALICE stop / BOB - / "
-                                            "POSITION +nothing")
-
-
-def _construction_requests(trace):
-    """The referee requests a run's construction events stand for."""
-    out = []
-    for ev in trace:
-        if ev.rule == "line":
-            p, q = ev.parents
-            out.append(RLine(p, q))
-        elif ev.rule == "circle":
-            o, a, b = ev.parents
-            out.append(RCircle(o, a, b))
-        elif ev.rule == "intersect":
-            out.append(RIntersect(*ev.parents))
-    return out
+    assert record.moves[-1].rule == "stop"
+    assert record.move_text(-1).endswith("ALICE stop / BOB - / "
+                                         "POSITION +nothing")
 
 
 def _corpus_inputs(e, tower, index):
@@ -136,17 +122,14 @@ def test_game_play_equals_run_with_bobs_answers(name):
         record = play(points, curves, target, scripted_alice(program, inputs),
                       sampling_bob(seed), max_moves=1000)
         assert isinstance(record.outcome, AliceWins), (index, seed)
-        requests = [m.request for m in record.moves]
-        answers = [m.made[0] for m in record.moves
-                   if isinstance(m.request, (RPointInDisk, RPointInCell))]
+        answers = [m.made[0] for m in record.moves if m.rule == "arbitrary"]
         result = run(program, inputs, ReplayOracle(answers))
-        assert _construction_requests(result.trace) == \
-            [r for r in requests if isinstance(r, (RLine, RCircle, RIntersect))]
-        # the referee and `run` build the same objects in order
-        assert [m.made for m in record.moves
-                if isinstance(m.request, (RLine, RCircle, RIntersect))] == \
-            [s.made for s in result.trace
-             if s.rule in ("line", "circle", "intersect")]
+        # the referee and `run` make the same steps, move for step
+        assert [(m.rule, m.made, m.parents) for m in record.moves] == \
+            [(s.rule, s.made, s.parents) for s in result.trace
+             if s.rule in ("line", "circle", "intersect", "arbitrary")]
+        assert [m.round for m in record.moves] == \
+            list(range(1, len(record.moves) + 1))
         assert all(record.position.contains(o) for o in result.outputs)
 
 
@@ -165,7 +148,7 @@ def test_scripted_play_builds_each_intersection_once(monkeypatch):
     alice = scripted_alice(corpus.load_program("midpoint"), [a, b])
     record = play([a, b], [], point(tw, 1, 0), alice, sampling_bob(0))
     assert record.outcome == AliceWins(6)
-    crossings = [m for m in record.moves if isinstance(m.request, RIntersect)]
+    crossings = [m for m in record.moves if m.rule == "intersect"]
     assert len(crossings) == 2
     assert len(calls) == len(crossings)
 
@@ -184,9 +167,8 @@ def test_scripted_intersection_count_mismatch_stops_after_the_request():
     """)
     record = play([a, b, c, d], [], point(tw, 9, 9),
                   scripted_alice(program, [a, b, c, d]), None)
-    assert [type(m.request) for m in record.moves] == \
-        [RLine, RLine, RIntersect]
-    assert record.moves[2].added == ()
+    assert [m.rule for m in record.moves] == ["line", "line", "intersect"]
+    assert record.moves[2].made == record.added[2] == ()
     assert record.outcome == Aborted(
         "intersection-count-mismatch",
         "intersect(g, h) gave 0 points, statement binds 1")
@@ -215,7 +197,7 @@ def test_scripted_degenerate_step_stops_before_any_request(
     record = play(inputs, [], point(tw, 9, 9),
                   scripted_alice(program, inputs), None)
     # the degenerate step itself is never a move
-    assert [type(m.request) for m in record.moves] == [RLine] * lines
+    assert [m.rule for m in record.moves] == ["line"] * lines
     assert record.outcome == Aborted("malformed-request", problem)
 
 
@@ -247,9 +229,11 @@ def test_malformed_requests_abort():
                                       "is not in the position"),
             (RIntersect(l, far), "intersection operand Line(<1 ~ 1>, "
                                  "<-1 ~ -1>, <0 ~ 0>) is not in the position"),
-            (RPointInDisk(Cell(((l, 1),))), "disk request without a disk"),
-            (RPointInCell(Disk(a, tw.from_rational(1))),
-             "cell request without a cell"),
+            (RPointInDisk(l), "point request in Line(<0 ~ 0>, <1 ~ 1>, "
+                              "<0 ~ 0>), neither a disk nor a cell"),
+            (Step("line", (), (a,)), "line request with 1 operands"),
+            (RLine(a, l), "line endpoint Line(<0 ~ 0>, <1 ~ 1>, <0 ~ 0>) "
+                          "is not in the position"),
             (RPointInCell(Cell(((far, 1),))), "cell condition on Line(<1 ~ 1>, "
                                              "<-1 ~ -1>, <0 ~ 0>) outside the "
                                              "position"),
@@ -429,7 +413,7 @@ def test_intersect_request_of_disjoint_curves_adds_nothing():
         return RIntersect(c1, c2) if not moves else STOP
 
     record = play([], [c1, c2], point(tw, 1, 1), alice, None, max_moves=3)
-    assert record.moves[0].added == ()
+    assert record.added[0] == ()
     assert record.outcome == Timeout(3)
 
 

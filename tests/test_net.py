@@ -25,7 +25,7 @@ from euclid.net import (
     replay_trace,
     straightedge_only,
 )
-from euclid.regions import Disk, contains_closed_disk, triangle_cell
+from euclid.regions import Cell, Disk, contains_closed_disk, triangle_cell
 from euclid.render import auto_viewport, render_svg
 from engine_checks import grid_gaps
 
@@ -198,12 +198,30 @@ def test_replay_trace_rejects_tampered_steps():
     forged = result.trace[:-1] + [Step(last.rule, (point(tw, 17, 17),),
                                        last.parents)]
     assert not replay_trace(forged, [a, b, c, d])
+    # steps of the wrong shape are rejected, not raised on
+    disk = Disk(a, tw.from_rational(1))
+    for bad in (Step("choose"), Step("arbitrary", (), (disk,)),
+                Step("arbitrary", (a,), ()), Step("arbitrary", (a,), (a,))):
+        assert not replay_trace([bad], [a, b, c, d]), bad
     assert not straightedge_only(result.trace
                                  + [Step("circle", (), (a, b))])
 
 
 def _engine_trace(source: str, tw: Tower):
-    """A recorded trace and the objects it starts from, per engine."""
+    """A recorded trace and the objects it starts from, per engine: a
+    game source is a corpus program played by scripted Alice against
+    SamplingBob(0) toward a target it never makes, so the play ends
+    with a stop move."""
+    if source.startswith("game:"):
+        e = corpus.entry(source[len("game:"):])
+        inputs = e.canonical_inputs(tw)
+        record = play([o for o in inputs if isinstance(o, Point)],
+                      [o for o in inputs if not isinstance(o, Point)],
+                      point(tw, 17, 17),
+                      scripted_alice(e.program(), inputs), SamplingBob(0),
+                      max_moves=1000)
+        assert record.moves[-1].rule == "stop"
+        return record.moves, inputs
     if source == "closure":
         state = closure([point(tw, 0, 0), point(tw, 2, 0)],
                         budget=Budget(max_rounds=2))
@@ -227,9 +245,11 @@ def _stranger(obj):
     return Circle.centered(far, farther)
 
 
+_PASSING = [e.name for e in corpus.entries() if e.name != "incenter_broken"]
+
+
 @pytest.mark.parametrize("source", [
-    *(e.name for e in corpus.entries() if e.name != "incenter_broken"),
-    "closure", "densify"])
+    *_PASSING, "closure", "densify", *(f"game:{name}" for name in _PASSING)])
 def test_replay_trace_rederives_every_engine(source):
     tw = Tower()
     trace, start = _engine_trace(source, tw)
@@ -244,7 +264,9 @@ def test_replay_trace_rederives_every_engine(source):
         forged = trace[:i] + [replace(trace[i], made=made)]
         assert not replay_trace(forged, start), rule
     # operands that are not known yet
-    assert not replay_trace([trace[built[-1]]] + trace, start)
+    late = next(trace[i] for i in reversed(built)
+                if not set(trace[i].parents) <= set(start))
+    assert not replay_trace([late] + trace, start)
     # a choice of an object that was never made
     chosen = Step("choose", (_stranger(trace[0].made[0]),))
     assert not replay_trace(trace + [chosen], start)
@@ -255,6 +277,16 @@ def test_replay_trace_rederives_every_engine(source):
     for forged in (Step("line", (), (p, p)), Step("circle", (), (p, p, p)),
                    Step("intersect", (), (curve, curve))):
         assert not replay_trace(trace + [forged], start), forged.rule
+    # an answer moved outside its region
+    points = [m for step in trace for m in step.made if isinstance(m, Point)]
+    far = [point(tw, x, y) for x in (17, -17) for y in (17, -17)]
+    for i, step in enumerate(trace):
+        if step.rule == "arbitrary":
+            region, = step.parents
+            outside = next(q for q in [*points, *far]
+                           if not region.contains(q))
+            forged = trace[:i] + [replace(step, made=(outside,))]
+            assert not replay_trace(forged, start), i
 
 
 def test_restricted_alice_translates_disk_requests():
@@ -264,7 +296,7 @@ def test_restricted_alice_translates_disk_requests():
     r2 = tw.from_rational(Fraction(1, 16))
 
     def inner(position, moves):
-        if any(isinstance(m.request, RPointInDisk) for m in moves):
+        if any(m.rule == "arbitrary" for m in moves):
             assert (dist2(moves[-1].made[0], center) - r2).sign() < 0
             return STOP
         return RPointInDisk(Disk(center, r2))
@@ -273,8 +305,8 @@ def test_restricted_alice_translates_disk_requests():
     record = play([p0, p1], [], point(tw, 99, 99), alice, SamplingBob(1),
                   max_moves=1500)
     assert isinstance(record.outcome, Timeout)
-    assert all(not isinstance(m.request, RPointInDisk)
-               for m in record.moves)
+    assert all(isinstance(m.parents[0], Cell)
+               for m in record.moves if m.rule == "arbitrary")
     assert any((dist2(p, center) - r2).sign() < 0
                for p in record.position.points)
 
