@@ -7,9 +7,10 @@ crossed with seeded sampling oracles; a trial fails when the run aborts
 or the postcondition is violated, and the report keeps the trace of
 every failing trial.  One entry is deliberately broken and is expected
 to fail; `verify_corpus` checks that expectations hold across the whole
-registry.  `uses(program, *kinds)` is the one scan of a program's
-statements for given statement kinds; an entry's `compass_only` and
-`test_free` flags read it.
+registry.  `_program_statements` is the one walk over a program's
+statements, nested ones included: `uses(program, *kinds)` reads it for
+given statement kinds (an entry's `test_free` flag asks for tests), and
+`compass_only` reads it for a statement of the line rule.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .dsl import SamplingOracle, parse_program, run
-from .dsl.ast import If, LetChoose, LetLine, Program, While
+from .dsl.ast import If, LetChoose, LetStep, Program, While
 from .errors import RunAbort
 from .field import Tower
 from .geom import (
@@ -96,7 +97,8 @@ class CorpusEntry:
     @property
     def compass_only(self) -> bool:
         """Whether the program never draws a line."""
-        return not uses(self.program(), LetLine)
+        return not any(isinstance(st, LetStep) and st.rule == "line"
+                       for st in _program_statements(self.program().body))
 
     @property
     def test_free(self) -> bool:

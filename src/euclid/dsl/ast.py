@@ -1,14 +1,19 @@
 """Syntax tree for construction programs.
 
 Statements bind names to geometric objects; tests are the exact
-predicates available to If, While, and Choose.  Every node keeps the
-source position of its first token for error reporting.
+predicates available to If, While, and Choose.  A construction
+statement is a `LetStep`: its rule names a `RULES` entry, and the
+interpreter turns its rule and operands into the request `geom.Step`
+with the same rule.  Every node keeps the source position of its first
+token for error reporting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 POINT = "point"
 LINE = "line"
@@ -32,6 +37,27 @@ CELL_CONDS = {
     "outside": (CIRCLE, 1),
     "pos": (LINE, 1),
     "neg": (LINE, -1),
+}
+
+
+class Rule(NamedTuple):
+    """How a construction statement is written and checked."""
+
+    operands: tuple[tuple[str, ...], ...]   # the kinds each operand may be
+    seps: tuple[str, ...]   # the separator written before each later operand
+    binds: str              # the kind of every name it binds
+    distinct: tuple[int, int]   # the operands that must differ ...
+    same: str                   # ... and the message when they do not
+
+
+# A rule that binds points binds them as a list: `let [P, Q] = ...`.
+RULES = {
+    "line": Rule(((POINT,), (POINT,)), (",",), LINE, (0, 1),
+                 "line through a point and itself"),
+    "circle": Rule(((POINT,),) * 3, (";", ","), CIRCLE, (1, 2),
+                   "circle with zero radius pair"),
+    "intersect": Rule(((LINE, CIRCLE),) * 2, (",",), POINT, (0, 1),
+                      "intersect of a curve with itself"),
 }
 
 
@@ -72,28 +98,23 @@ RegionExpr = DiskExpr | CellExpr
 
 
 @dataclass(frozen=True)
-class LetLine:
-    name: str
-    p: str
-    q: str
+class LetStep:
+    rule: str                   # key of RULES
+    names: tuple[str, ...]      # intersect: one or two, lexicographic
+    args: tuple[str, ...]
     pos: Pos = field(default=Pos(0, 0), compare=False)
 
-
-@dataclass(frozen=True)
-class LetCircle:
-    name: str
-    center: str
-    a: str
-    b: str
-    pos: Pos = field(default=Pos(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class LetIntersect:
-    names: tuple[str, ...]      # one or two targets, lexicographic binding
-    g: str
-    h: str
-    pos: Pos = field(default=Pos(0, 0), compare=False)
+    @cached_property
+    def text(self) -> str:
+        """The statement as written, without `let` and `;`; formed once,
+        as it labels every step a run traces for the statement."""
+        names = ", ".join(self.names)
+        if RULES[self.rule].binds == POINT:
+            names = f"[{names}]"
+        args = self.args[0] + "".join(
+            f"{sep} {arg}"
+            for sep, arg in zip(RULES[self.rule].seps, self.args[1:]))
+        return f"{names} = {self.rule}({args})"
 
 
 @dataclass(frozen=True)
@@ -127,7 +148,7 @@ class While:
     pos: Pos = field(default=Pos(0, 0), compare=False)
 
 
-Stmt = LetLine | LetCircle | LetIntersect | LetChoose | LetArbitrary | If | While
+Stmt = LetStep | LetChoose | LetArbitrary | If | While
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,14 @@
 Runs a parsed program over exact geometric inputs.  Every predicate is
 decided with exact sign tests.  The statement executor is a generator:
 it yields one request per construction or arbitrary-point statement, a
-`geom.Step` whose `made` is still empty (an arbitrary step's one parent
-is its region), and binds the tuple of objects sent back, which it then
-records as that step's `made` in the run trace; it constructs and
-checks nothing itself.  The caller builds a construction with the
-step's `build()`, whose `geom` constructors are the one test for
-degenerate steps, and answers a point request with one point that
+`geom.Step` whose `made` is still empty.  A construction statement (a
+`LetStep`) gives the step its rule and the objects its operands name;
+an arbitrary step has the statement's region as its one parent.  The
+executor binds the tuple of objects sent back, which it then records
+as that step's `made` in the run trace; it constructs and checks
+nothing itself.  The caller builds a construction with the step's
+`build()`, whose `geom` constructors are the one test for degenerate
+steps, and answers a point request with one point that
 `answer_problem` accepts: `run` asks an oracle, and the game's scripted
 Alice forwards requests to the referee, which builds the objects and
 checks Bob's answer.  Runs abort with a stable machine-readable reason
@@ -42,9 +44,7 @@ from .ast import (
     If,
     LetArbitrary,
     LetChoose,
-    LetCircle,
-    LetIntersect,
-    LetLine,
+    LetStep,
     Program,
     Test,
     While,
@@ -168,42 +168,23 @@ class _Run:
             yield from self.exec_stmt(st)
 
     def exec_stmt(self, st):
-        """Execute one statement, yielding its requests.
+        """Execute one statement, yielding its request if it makes one.
 
-        The statement binds what the caller sends back and traces its
-        request with it; `asking` names the statement while its request
-        is pending.
+        A construction or arbitrary-point statement yields its request
+        step, binds what the caller sends back and traces the filled
+        step; `asking` holds the statement while its request is pending.
         """
         self.tick()
         env = self.env
-        if isinstance(st, LetLine):
-            self.asking = f"line {st.name}"
-            step = Step("line", (), (env[st.p], env[st.q]),
-                        label=f"{st.name} = line({st.p}, {st.q})")
-            step.made = yield step
-            env[st.name], = step.made
-            self.trace.append(step)
-        elif isinstance(st, LetCircle):
-            self.asking = f"circle {st.name}"
-            step = Step("circle", (), (env[st.center], env[st.a], env[st.b]),
-                        label=f"{st.name} = circle({st.center}; {st.a}, "
-                              f"{st.b})")
-            step.made = yield step
-            env[st.name], = step.made
-            self.trace.append(step)
-        elif isinstance(st, LetIntersect):
-            self.asking = f"intersect({st.g}, {st.h})"
-            step = Step("intersect", (), (env[st.g], env[st.h]),
-                        label=f"[{', '.join(st.names)}] = "
-                              f"intersect({st.g}, {st.h})")
-            step.made = yield step
-            if len(step.made) != len(st.names):
-                self.abort("intersection-count-mismatch",
-                           f"intersect({st.g}, {st.h}) gave "
-                           f"{len(step.made)} points, statement binds "
-                           f"{len(st.names)}")
-            env.update(zip(st.names, step.made))
-            self.trace.append(step)
+        if isinstance(st, LetStep):
+            step = Step(st.rule, (), tuple([env[n] for n in st.args]),
+                        label=st.text)
+            names = st.names
+        elif isinstance(st, LetArbitrary):
+            step = Step("arbitrary", (),
+                        (build_region(env, self.tower, st.region),),
+                        label=f"{st.name} = arbitrary -> ")
+            names = (st.name,)
         elif isinstance(st, LetChoose):
             passing = []
             for cand in st.candidates:
@@ -222,19 +203,13 @@ class _Run:
             env[st.name] = obj
             self.trace.append(Step(
                 "choose", (obj,), label=f"{st.name} = choose -> {cand}"))
-        elif isinstance(st, LetArbitrary):
-            self.asking = f"arbitrary {st.name}"
-            step = Step("arbitrary", (),
-                        (build_region(env, self.tower, st.region),),
-                        label=f"{st.name} = arbitrary -> ")
-            step.made = yield step
-            env[st.name], = step.made
-            self.trace.append(step)
+            return
         elif isinstance(st, If):
             if self.eval_test(st.test):
                 yield from self.exec_block(st.then)
             else:
                 yield from self.exec_block(st.orelse)
+            return
         elif isinstance(st, While):
             count = 0
             while self.eval_test(st.test):
@@ -243,8 +218,26 @@ class _Run:
                                f"test still true after {st.budget} iterations")
                 yield from self.exec_block(st.body)
                 count += 1
+            return
         else:       # pragma: no cover - checker admits no other nodes
             raise TypeError(f"unexpected statement {st!r}")
+        self.asking = st
+        step.made = yield step
+        if len(step.made) != len(names):
+            self.abort("intersection-count-mismatch",
+                       f"{self.asked()} gave {len(step.made)} points, "
+                       f"statement binds {len(names)}")
+        env.update(zip(names, step.made))
+        self.trace.append(step)
+
+    def asked(self) -> str:
+        """How an abort names the statement of the pending request."""
+        st = self.asking
+        if isinstance(st, LetArbitrary):
+            return f"arbitrary {st.name}"
+        if st.rule == "intersect":
+            return f"intersect({', '.join(st.args)})"
+        return f"{st.rule} {st.names[0]}"
 
     def ask(self, oracle, request: Step) -> tuple:
         """What a request made: a construction's built objects, or the
@@ -253,13 +246,13 @@ class _Run:
             try:
                 return request.build()
             except DegenerateInputError as exc:
-                self.abort("degenerate-step", f"{self.asking}: {exc}")
+                self.abort("degenerate-step", f"{self.asked()}: {exc}")
         region, = request.parents
         answer = oracle.answer(region, self)
         problem = answer_problem(region, answer, self.tower)
         if problem is not None:
             self.abort("region-scan-exhausted" if answer is None
-                       else "oracle-violation", f"{self.asking}: {problem}")
+                       else "oracle-violation", f"{self.asked()}: {problem}")
         return (answer,)
 
     def eval_test(self, test: Test) -> bool:

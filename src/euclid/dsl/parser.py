@@ -23,6 +23,8 @@ pos(l)/neg(l) for line sides.  Tests may be prefixed with `not`.
 Parsing reports syntax problems as ParseError with positions; the
 static checker rejects unknown names, arity and kind mismatches,
 rebinding outside While bodies, and unbound returns as CheckError.
+Line, circle and intersect statements are parsed and checked from one
+table, `ast.RULES`.
 """
 
 from __future__ import annotations
@@ -35,15 +37,14 @@ from .ast import (
     CIRCLE,
     LINE,
     POINT,
+    RULES,
     TEST_ARITY,
     CellExpr,
     DiskExpr,
     If,
     LetArbitrary,
     LetChoose,
-    LetCircle,
-    LetIntersect,
-    LetLine,
+    LetStep,
     Param,
     Pos,
     Program,
@@ -227,37 +228,19 @@ class _Parser:
             self.expect("]")
             self.expect("=")
             self.expect("intersect")
-            self.expect("(")
-            g = self.name()
-            self.expect(",")
-            h = self.name()
-            self.expect(")")
-            self.expect(";")
+            st = self.step("intersect", names, pos)
             if len(names) > 2:
                 raise ParseError("intersect binds one or two names",
                                  pos.line, pos.col)
-            return LetIntersect(names, g, h, pos)
+            return st
         target = self.name()
         self.expect("=")
         head = self.next()
-        if head.kind == "line":
-            self.expect("(")
-            p = self.name()
-            self.expect(",")
-            q = self.name()
-            self.expect(")")
-            self.expect(";")
-            return LetLine(target, p, q, pos)
-        if head.kind == "circle":
-            self.expect("(")
-            center = self.name()
-            self.expect(";")
-            a = self.name()
-            self.expect(",")
-            b = self.name()
-            self.expect(")")
-            self.expect(";")
-            return LetCircle(target, center, a, b, pos)
+        if head.kind == "intersect":
+            raise ParseError("intersect bindings use let [N] = intersect(...)",
+                             head.line, head.col)
+        if head.kind in RULES:
+            return self.step(head.kind, (target,), pos)
         if head.kind == "choose":
             self.expect("(")
             candidates = self.namelist()
@@ -270,11 +253,20 @@ class _Parser:
             region = self.region()
             self.expect(";")
             return LetArbitrary(target, region, pos)
-        if head.kind == "intersect":
-            raise ParseError("intersect bindings use let [N] = intersect(...)",
-                             head.line, head.col)
         raise ParseError(f"unknown statement head {head.text!r}",
                          head.line, head.col)
+
+    def step(self, rule: str, names: tuple[str, ...], pos: Pos) -> LetStep:
+        """A construction statement's operands, after its rule's name
+        and through the closing `;`."""
+        self.expect("(")
+        args = [self.name()]
+        for sep in RULES[rule].seps:
+            self.expect(sep)
+            args.append(self.name())
+        self.expect(")")
+        self.expect(";")
+        return LetStep(rule, names, tuple(args), pos)
 
     def region(self):
         tok = self.next()
@@ -395,27 +387,17 @@ def _bind(env: dict, name: str, kind: str, in_loop: bool, pos: Pos):
 
 def _check_block(stmts, env: dict, in_loop: bool):
     for st in stmts:
-        if isinstance(st, LetLine):
-            for name in (st.p, st.q):
-                _want(env, name, (POINT,), st.pos, "line")
-            if st.p == st.q:
-                _fail(st.pos, "line through a point and itself")
-            _bind(env, st.name, LINE, in_loop, st.pos)
-        elif isinstance(st, LetCircle):
-            for name in (st.center, st.a, st.b):
-                _want(env, name, (POINT,), st.pos, "circle")
-            if st.a == st.b:
-                _fail(st.pos, "circle with zero radius pair")
-            _bind(env, st.name, CIRCLE, in_loop, st.pos)
-        elif isinstance(st, LetIntersect):
-            for name in (st.g, st.h):
-                _want(env, name, (LINE, CIRCLE), st.pos, "intersect")
-            if st.g == st.h:
-                _fail(st.pos, "intersect of a curve with itself")
+        if isinstance(st, LetStep):
+            rule = RULES[st.rule]
+            for name, kinds in zip(st.args, rule.operands):
+                _want(env, name, kinds, st.pos, st.rule)
+            i, j = rule.distinct
+            if st.args[i] == st.args[j]:
+                _fail(st.pos, rule.same)
             if len(set(st.names)) != len(st.names):
                 _fail(st.pos, "duplicate intersection binding names")
             for name in st.names:
-                _bind(env, name, POINT, in_loop, st.pos)
+                _bind(env, name, rule.binds, in_loop, st.pos)
         elif isinstance(st, LetChoose):
             if len(set(st.candidates)) != len(st.candidates):
                 _fail(st.pos, "duplicate choose candidates")

@@ -110,10 +110,11 @@ class Position:
 
     @property
     def tower(self):
+        """The session of the position's objects; None while it is empty."""
         for objs in (self.points, self.curves):
             if objs:
                 return objs[0].tower
-        raise ValueError("empty position has no tower")
+        return None
 
     def add(self, obj) -> bool:
         """Append if new; True when the position grew."""
@@ -166,11 +167,12 @@ _OPERANDS = {
 }
 
 
-def _validate(request, position: Position) -> str | None:
+def request_problem(request, position: Position) -> str | None:
     """A malformed-request message when the request has the wrong
     operands or names anything outside the position, or a region that
     is neither a disk of this session nor a cell, or None.  Degenerate
-    constructions are left to the step's `build()`."""
+    constructions are left to the step's `build()`.  `net.replay_trace`
+    judges each recorded step with it too."""
     rule = getattr(request, "rule", None)
     if rule not in _OPERANDS and rule != "arbitrary":
         return f"unknown request {request!r}"
@@ -226,7 +228,7 @@ def play(points, curves, target, alice, bob,
             record.added.append(())
             record.outcome = Timeout(max_moves)
             return record
-        problem = _validate(request, position)
+        problem = request_problem(request, position)
         if problem is not None:
             record.outcome = Aborted("malformed-request", problem)
             return record

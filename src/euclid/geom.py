@@ -14,7 +14,7 @@ per call, and make field elements, each checked by the coefficient
 guard, only for the coordinates and line coefficients they return and
 for the discriminant they take the root of.  Lines have a rational
 lane: when every coordinate or coefficient a join (`Line.through`), a
-normalization (`Line`), a meet (`_line_line`, `_det`) or a value
+normalization (`Line`), a meet (`_line_line`) or a value
 (`Line._value`) reads is rational, it computes with integer cross
 products of homogeneous coordinates over one common denominator, and
 reduces each result by one gcd to a positive denominator (`_ratio`).
@@ -419,11 +419,6 @@ def _pair(u: Curve, v: Curve, what: str) -> tuple[Line | None, Curve]:
 
 
 def _det(u: Line, v: Line) -> Terms:
-    ub, vb = u.b, v.b
-    if not (any(ub._num) or any(vb._num)):
-        # a is 0 or 1
-        return _ratio((_n(vb) * ub._den if u.a else 0)
-                      - (_n(ub) * vb._den if v.a else 0), ub._den * vb._den)
     mul = u.tower._mul_t
     return _sub_t(mul(u.a._terms, v.b._terms), mul(v.a._terms, u.b._terms))
 

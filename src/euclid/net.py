@@ -25,7 +25,8 @@ from itertools import combinations
 
 from .errors import DegenerateInputError, ResourceLimitError, ScopeError
 from .field import _add_t, _rational_t
-from .game import STOP, RLine, RPointInCell
+from .dsl.interp import answer_problem
+from .game import STOP, Position, RLine, RPointInCell, request_problem
 from .geom import Line, Point, Step, cross, dist2, intersect, orientation
 from .regions import Cell, Disk, contains_closed_disk, triangle_cell
 
@@ -52,42 +53,42 @@ def straightedge_only(trace) -> bool:
 def replay_trace(trace, objects) -> bool:
     """Re-derive a run, closure, densify or play trace, checking every step.
 
-    `objects` are known from the start.  Input, given and arbitrary
-    steps make their object known, and an arbitrary step's point must
-    lie strictly inside its region; test, abort and stop steps are
-    skipped.  A line, circle or intersect step must take only known
-    parents, and every object it made must be in what its `build()`
-    gives; a choose step must pick a known object.  Any other rule, a
-    degenerate construction step, or any failed check gives False.
+    `objects` are known from the start, kept in a `game.Position`.
+    Input and given steps make their object known; test, abort and stop
+    steps are skipped; a choose step must pick a known object.  Every
+    other step is judged as the game's referee judges a request: it
+    must pass `request_problem` in the position so far, a line, circle
+    or intersect step must be non-degenerate and every object it made
+    must be in what its `build()` gives, and an arbitrary step's one
+    point must pass `answer_problem`.  Any failed check gives False.
     """
-    known = set(objects)
+    position = Position()
+    for obj in objects:
+        position.add(obj)
     for step in trace:
-        rule, made, parents = step.rule, step.made, step.parents
-        if rule in ("line", "circle", "intersect"):
-            if not known.issuperset(parents):
-                return False
-            try:
-                redo = step.build()
-            except DegenerateInputError:
-                return False
-            for m in made:
-                if m not in redo:
-                    return False
-        elif rule == "choose":
-            if len(made) != 1 or made[0] not in known:
-                return False
-        elif rule == "arbitrary":
-            if len(parents) != 1 or len(made) != 1:
-                return False
-            region, p = parents[0], made[0]
-            if not isinstance(region, (Disk, Cell)) \
-                    or not isinstance(p, Point) or not region.contains(p):
-                return False
-        elif rule in ("test", "abort", "stop"):
+        rule, made = step.rule, step.made
+        if rule in ("test", "abort", "stop"):
             continue
+        if rule == "choose":
+            if len(made) != 1 or not position.contains(made[0]):
+                return False
         elif rule not in ("input", "given"):
-            return False
-        known.update(made)
+            if request_problem(step, position) is not None:
+                return False
+            if rule == "arbitrary":
+                if len(made) != 1 or answer_problem(
+                        step.parents[0], made[0], position.tower) is not None:
+                    return False
+            else:
+                try:
+                    redo = step.build()
+                except DegenerateInputError:
+                    return False
+                for m in made:
+                    if m not in redo:
+                        return False
+        for m in made:
+            position.add(m)
     return True
 
 

@@ -153,6 +153,67 @@ def test_check_errors():
             }""")
 
 
+# Malformed construction statements and the full message each gives,
+# position included.  Each body sits on line 2 of a program whose
+# parameters are points A, B and lines g, h.
+STATEMENT_ERRORS = [
+    ('let c = circle(A, A, B);', ParseError,
+     "expected ';', found ',' at line 2, col 19"),
+    ('let [P] = line(A, B);', ParseError,
+     "expected 'intersect', found 'line' at line 2, col 13"),
+    ('let P = intersect(g, h);', ParseError,
+     'intersect bindings use let [N] = intersect(...) at line 2, col 11'),
+    ('let [P, Q, R] = intersect(g, h);', ParseError,
+     'intersect binds one or two names at line 2, col 3'),
+    ('let l = line(A; B);', ParseError,
+     "expected ',', found ';' at line 2, col 17"),
+    ('let c = circle(A; B; A);', ParseError,
+     "expected ',', found ';' at line 2, col 22"),
+    ('let l = line(A);', ParseError,
+     "expected ',', found ')' at line 2, col 17"),
+    ('let l = line A, B;', ParseError,
+     "expected '(', found 'A' at line 2, col 16"),
+    ('let [P] = intersect(g, h, g);', ParseError,
+     "expected ')', found ',' at line 2, col 27"),
+    ('let [] = intersect(g, h);', ParseError,
+     "expected 'NAME', found ']' at line 2, col 8"),
+    ('let l = segment(A, B);', ParseError,
+     "unknown statement head 'segment' at line 2, col 11"),
+    ('let l = line(A, A);', CheckError,
+     'line 2, col 3: line through a point and itself'),
+    ('let c = circle(A; B, B);', CheckError,
+     'line 2, col 3: circle with zero radius pair'),
+    ('let [P] = intersect(g, g);', CheckError,
+     'line 2, col 3: intersect of a curve with itself'),
+    ('let [P] = intersect(A, g);', CheckError,
+     "line 2, col 3: intersect needs line or circle, but 'A' is a point"),
+    ('let l = line(g, A);', CheckError,
+     "line 2, col 3: line needs point, but 'g' is a line"),
+    ('let c = circle(A; A, g);', CheckError,
+     "line 2, col 3: circle needs point, but 'g' is a line"),
+    ('let [P, P] = intersect(g, h);', CheckError,
+     'line 2, col 3: duplicate intersection binding names'),
+    ('let l = line(A, Z);', CheckError,
+     "line 2, col 3: unknown name 'Z'"),
+    ('let A = line(A, B);', CheckError,
+     "line 2, col 3: 'A' is already bound; rebinding is only allowed inside while bodies"),
+    ('while ccw(A, B, A) budget 1 { let x = line(A, B); let x = circle(A; A, B); }', CheckError,
+     "line 2, col 53: rebinding 'x' changes its kind from line to circle"),
+    ('while ccw(A, B, A) budget 1 { let [g] = intersect(g, h); }', CheckError,
+     "line 2, col 33: rebinding 'g' changes its kind from line to point"),
+]
+
+
+@pytest.mark.parametrize("body, kind, message", STATEMENT_ERRORS)
+def test_statement_error_messages(body, kind, message):
+    text = ("construction x(point A, point B, line g, line h) {\n"
+            f"  {body}\n  return A;\n}}")
+    with pytest.raises(kind) as ei:
+        parse_program(text)
+    assert type(ei.value) is kind
+    assert str(ei.value) == message
+
+
 def test_branch_bindings_must_merge():
     text = """
         construction x(point A, point B, point C) {{
@@ -280,6 +341,36 @@ def test_degenerate_step_aborts(tw):
     with pytest.raises(RunAbort) as ei:
         run(prog, [point(tw, 1, 1), point(tw, 1, 1)])
     assert ei.value.reason == "degenerate-step"
+
+
+# A run's abort names the statement whose request failed.
+RUN_ABORTS = [
+    ("let l = line(A, B);", [(1, 1), (1, 1), (0, 0), (0, 0)],
+     "degenerate-step: line l: line through two identical points"),
+    ("let c = circle(A; B, C);", [(0, 0), (1, 1), (1, 1), (0, 0)],
+     "degenerate-step: circle c: circle needs a positive squared radius"),
+    ("let g = line(A, B); let h = line(C, D); let [P] = intersect(g, h);",
+     [(0, 0), (1, 0), (2, 0), (3, 0)],
+     "degenerate-step: intersect(g, h): identical lines"),
+    ("let g = line(A, B); let h = line(C, D); let [P, Q] = intersect(g, h);",
+     [(0, 0), (1, 0), (0, 1), (1, 1)],
+     "intersection-count-mismatch: intersect(g, h) gave 0 points, "
+     "statement binds 2"),
+    ("let X = arbitrary in_disk(A, 1);", [(0, 0), (1, 0), (2, 0), (3, 0)],
+     "oracle-violation: arbitrary X: answer (<5 ~ 5>, <5 ~ 5>) is outside "
+     "the requested region"),
+]
+
+
+@pytest.mark.parametrize("body, coords, message", RUN_ABORTS)
+def test_run_abort_messages(tw, body, coords, message):
+    prog = parse_program("construction x(point A, point B, point C, "
+                         f"point D) {{ {body} return A; }}")
+    with pytest.raises(RunAbort) as ei:
+        run(prog, [point(tw, x, y) for x, y in coords],
+            ReplayOracle([point(tw, 5, 5)]))
+    assert str(ei.value) == message
+    assert ei.value.trace[-1].label == message
 
 
 def test_step_budget(tw, monkeypatch):

@@ -333,7 +333,7 @@ def test_kernels_match_operator_reference(u_spec, v_spec):
         assert mine._radicands == ref._radicands
 
 
-# The rational lane of `Line`, `_det` and `_line_line` against the
+# The rational lane of `Line` and `_line_line`, and `_det`, against the
 # general term-pair path of `engine_checks`.  Each coordinate is a
 # rational, or in Q(sqrt 2) one time in eight, which sends every call it
 # takes part in down the general path.
@@ -474,8 +474,10 @@ def test_rational_lines_join_and_meet_without_term_kernels(tw, monkeypatch):
                      point(tw, 5, Fraction(7, 2)))
     h = Line.through(point(tw, 0, 0), point(tw, 1, Fraction(-2, 5)))
     (x,) = intersect(g, h)
-    assert g.contains(x) and h.contains(x) and intersects(g, h)
+    assert g.contains(x) and h.contains(x)
     assert calls == []
+    # `intersects` of two lines reads `_det`, which has no rational lane
+    assert intersects(g, h)
     # an irrational operand takes the general path, which the patch sees
     Line.through(point(tw, 0, 0), Point(tw.one, r2))
     assert "_mul_t" in calls and "_add_t" in calls

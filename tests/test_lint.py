@@ -1,6 +1,9 @@
 """The only lint tier-1 runs: no engine module imports a name it never
-uses.  A name counts as used when any `ast.Name` in the module reads
-it, or when the module's `__all__` lists it."""
+uses, and no module-level private name of an engine module is dead.
+An imported name counts as used when any `ast.Name` in the module reads
+it, or when the module's `__all__` lists it.  A private function, class
+or assignment counts as used when its own module reads it, or when any
+module imports it or reads it as an attribute."""
 
 import ast
 from pathlib import Path
@@ -32,4 +35,41 @@ def test_no_module_imports_a_name_it_never_uses():
     found = [f"{path.relative_to(SRC)}:{line} {name}"
              for path in sorted((SRC / "euclid").rglob("*.py"))
              for line, name in _unused_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def _private_defs(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) \
+                and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def test_no_private_module_name_is_dead():
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted((SRC / "euclid").rglob("*.py"))}
+    imported = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                imported.add(node.attr)
+            elif isinstance(node, ast.alias):
+                imported.add(node.name.split(".")[-1])
+    found = []
+    for path, tree in trees.items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)}
+        found += [f"{path.relative_to(SRC)}:{line} {name}"
+                  for line, name in _private_defs(tree)
+                  if name not in read and name not in imported]
     assert found == []

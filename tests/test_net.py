@@ -200,9 +200,21 @@ def test_replay_trace_rejects_tampered_steps():
     assert not replay_trace(forged, [a, b, c, d])
     # steps of the wrong shape are rejected, not raised on
     disk = Disk(a, tw.from_rational(1))
+    ab = Line.through(a, b)
     for bad in (Step("choose"), Step("arbitrary", (), (disk,)),
-                Step("arbitrary", (a,), ()), Step("arbitrary", (a,), (a,))):
+                Step("arbitrary", (a,), ()), Step("arbitrary", (a,), (a,)),
+                Step("line", (ab,), (a, b, c)), Step("line", (ab,), (a,)),
+                Step("intersect", (a,), (a, b))):
         assert not replay_trace([bad], [a, b, c, d]), bad
+    # a point answer before anything is known has no session to be in
+    assert not replay_trace([Step("arbitrary", (a,), (disk,))], [])
+    # a cell over a line that no step made, though the point is inside
+    never = Line.through(point(tw, 17, 17), point(tw, 18, 19))
+    inside = point(tw, 2, 1)
+    cell = Cell(((never, never.side(inside)),))
+    assert cell.contains(inside)
+    assert not replay_trace([Step("arbitrary", (inside,), (cell,))],
+                            [a, b, c, d])
     assert not straightedge_only(result.trace
                                  + [Step("circle", (), (a, b))])
 
