@@ -34,6 +34,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import ResourceLimitError
 from .geom import (
+    RULES,
     Circle,
     Curve,
     Line,
@@ -44,7 +45,7 @@ from .geom import (
     second_meet,
 )
 
-ALL_OPS = frozenset({"line", "circle", "intersect"})
+ALL_OPS = frozenset(RULES)
 
 
 @dataclass

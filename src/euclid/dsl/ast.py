@@ -2,10 +2,10 @@
 
 Statements bind names to geometric objects; tests are the exact
 predicates available to If, While, and Choose.  A construction
-statement is a `LetStep`: its rule names a `RULES` entry, and the
-interpreter turns its rule and operands into the request `geom.Step`
-with the same rule.  Every node keeps the source position of its first
-token for error reporting.
+statement is a `LetStep`: its rule names its syntax in `RULES` and its
+operands' classes in `geom.RULES`, and the interpreter turns it into the
+request `geom.Step` with the same rule.  Every node keeps the source
+position of its first token for error reporting.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-POINT = "point"
-LINE = "line"
-CIRCLE = "circle"
+from ..geom import Circle, Line, Point
+
+POINT, LINE, CIRCLE = Point.kind, Line.kind, Circle.kind
 
 TEST_ARITY = {
     "equal": 2,
@@ -41,9 +41,9 @@ CELL_CONDS = {
 
 
 class Rule(NamedTuple):
-    """How a construction statement is written and checked."""
+    """How a construction statement is written and checked; the kinds
+    of its operands are those of the rule's `geom.RULES` entry."""
 
-    operands: tuple[tuple[str, ...], ...]   # the kinds each operand may be
     seps: tuple[str, ...]   # the separator written before each later operand
     binds: str              # the kind of every name it binds
     distinct: tuple[int, int]   # the operands that must differ ...
@@ -52,11 +52,9 @@ class Rule(NamedTuple):
 
 # A rule that binds points binds them as a list: `let [P, Q] = ...`.
 RULES = {
-    "line": Rule(((POINT,), (POINT,)), (",",), LINE, (0, 1),
-                 "line through a point and itself"),
-    "circle": Rule(((POINT,),) * 3, (";", ","), CIRCLE, (1, 2),
-                   "circle with zero radius pair"),
-    "intersect": Rule(((LINE, CIRCLE),) * 2, (",",), POINT, (0, 1),
+    "line": Rule((",",), LINE, (0, 1), "line through a point and itself"),
+    "circle": Rule((";", ","), CIRCLE, (1, 2), "circle with zero radius pair"),
+    "intersect": Rule((",",), POINT, (0, 1),
                       "intersect of a curve with itself"),
 }
 
@@ -146,9 +144,6 @@ class While:
     budget: int
     body: tuple
     pos: Pos = field(default=Pos(0, 0), compare=False)
-
-
-Stmt = LetStep | LetChoose | LetArbitrary | If | While
 
 
 @dataclass(frozen=True)

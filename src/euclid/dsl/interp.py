@@ -264,8 +264,6 @@ class _Run:
             label=f"{neg}{test.kind}({', '.join(test.args)}) -> {value}"))
         return value
 
-_KIND_TYPES = {"point": Point, "line": Line, "circle": Circle}
-
 
 def bind_inputs(program: Program, inputs) -> dict:
     """Environment mapping parameter names to type-checked input objects."""
@@ -281,7 +279,7 @@ def bind_inputs(program: Program, inputs) -> dict:
                              f"{len(program.params)} inputs, got {len(values)}")
     env = {}
     for param, value in zip(program.params, values):
-        if not isinstance(value, _KIND_TYPES[param.kind]):
+        if getattr(value, "kind", None) != param.kind:
             raise ValueError(f"input {param.name!r} must be a {param.kind}, "
                              f"got {type(value).__name__}")
         env[param.name] = value

@@ -23,14 +23,15 @@ pos(l)/neg(l) for line sides.  Tests may be prefixed with `not`.
 Parsing reports syntax problems as ParseError with positions; the
 static checker rejects unknown names, arity and kind mismatches,
 rebinding outside While bodies, and unbound returns as CheckError.
-Line, circle and intersect statements are parsed and checked from one
-table, `ast.RULES`.
+Line, circle and intersect statements are parsed and checked from
+`ast.RULES`, their syntax, and `geom.RULES`, their operands' classes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .. import geom
 from ..errors import CheckError, ParseError
 from .ast import (
     CELL_CONDS,
@@ -389,7 +390,8 @@ def _check_block(stmts, env: dict, in_loop: bool):
     for st in stmts:
         if isinstance(st, LetStep):
             rule = RULES[st.rule]
-            for name, kinds in zip(st.args, rule.operands):
+            kinds = tuple(cls.kind for cls in geom.RULES[st.rule].operands)
+            for name in st.args:
                 _want(env, name, kinds, st.pos, st.rule)
             i, j = rule.distinct
             if st.args[i] == st.args[j]:

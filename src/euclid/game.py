@@ -4,9 +4,10 @@ Alice tries to make a target object appear in the position by issuing
 requests; construction requests (line, circle, intersection) are
 executed deterministically by the referee, while point requests name an
 open region and are answered by Bob, whose answer is verified exactly
-before it is admitted.  A request is a `geom.Step` whose `made` is still
-empty, and a play's record is the list of filled steps, one per move,
-so `net.replay_trace` re-derives it like any other trace.  Adversaries
+before it is admitted; `judge` decides one move, by the request's
+`geom.RULES` entry for a construction.  A request is a `geom.Step`
+whose `made` is still empty, and a play's record is the list of filled
+steps, one per move, which `net.replay_trace` judges again.  Adversaries
 include a benign seeded sampler and a certificate player that answers
 only with members of a prescribed dense closed set; `check_certificate`
 probes such a set for the falsifiable consequences of being a valid
@@ -23,7 +24,7 @@ from .closure import Budget, expand_once
 from .dsl.ast import Program
 from .dsl.interp import SamplingOracle, answer_problem, requests
 from .errors import DegenerateInputError, RunAbort
-from .geom import Circle, Line, Point, Step, fmt, point
+from .geom import RULES, Point, Step, fmt, point
 from .regions import Cell, Disk
 
 STRAIGHTEDGE_OPS = frozenset({"line", "intersect"})
@@ -39,26 +40,14 @@ SUBSET_SIZE = 2         # points in each of those sets
 STOP = Step("stop")     # the request of a strategy that gives up
 
 
+# Shorthands the benchmark's workloads import; other code writes the
+# request `Step` itself.
 def RLine(p: Point, q: Point) -> Step:
     return Step("line", (), (p, q))
 
 
-def RCircle(o: Point, a: Point, b: Point) -> Step:
-    """Circle centered at o with the distance from a to b as radius."""
-    return Step("circle", (), (o, a, b))
-
-
-def RIntersect(g, h) -> Step:
-    return Step("intersect", (), (g, h))
-
-
 def RPointInDisk(region) -> Step:
-    """A point request; the type of its region, a Disk or a Cell, says
-    which kind it is."""
     return Step("arbitrary", (), (region,))
-
-
-RPointInCell = RPointInDisk
 
 
 @dataclass(frozen=True)
@@ -78,19 +67,12 @@ class Aborted:
 
 
 def _request_text(step: Step) -> str:
-    rule, parents = step.rule, step.parents
-    if rule == "line":
-        p, q = parents
-        return f"line {fmt(p)} {fmt(q)}"
-    if rule == "circle":
-        o, a, b = parents
-        return f"circle center {fmt(o)} radius |{fmt(a)} {fmt(b)}|"
-    if rule == "intersect":
-        g, h = parents
-        return f"intersect {fmt(g)} with {fmt(h)}"
-    if rule == "arbitrary":
-        return f"point in {parents[0]!r}"
-    return rule
+    rule = RULES.get(step.rule)
+    if rule is not None:
+        return rule.text.format(*map(fmt, step.parents))
+    if step.rule == "arbitrary":
+        return f"point in {step.parents[0]!r}"
+    return step.rule
 
 
 # ---------------------------------------------------------------------------
@@ -158,31 +140,24 @@ class GameRecord:
 # ---------------------------------------------------------------------------
 # Referee.
 
-# A construction rule's operand count and type, and an operand's name
-# in a message.
-_OPERANDS = {
-    "line": (2, Point, "line endpoint"),
-    "circle": (3, Point, "circle reference"),
-    "intersect": (2, (Line, Circle), "intersection operand"),
-}
-
-
 def request_problem(request, position: Position) -> str | None:
-    """A malformed-request message when the request has the wrong
-    operands or names anything outside the position, or a region that
-    is neither a disk of this session nor a cell, or None.  Degenerate
-    constructions are left to the step's `build()`.  `net.replay_trace`
-    judges each recorded step with it too."""
-    rule = getattr(request, "rule", None)
-    if rule not in _OPERANDS and rule != "arbitrary":
+    """A malformed-request message, or None.  A construction request
+    needs as many operands as its `RULES` entry, each of the entry's
+    classes and in the position; a point request needs one region, a
+    disk of this session, centred anywhere, or a cell whose curves are
+    in the position.  Degenerate constructions are left to the step's
+    `build()`."""
+    name = getattr(request, "rule", None)
+    rule = RULES.get(name)
+    if rule is None and name != "arbitrary":
         return f"unknown request {request!r}"
-    count, kind, what = _OPERANDS.get(rule, (1, None, None))
-    if len(request.parents) != count:
-        return f"{rule} request with {len(request.parents)} operands"
-    if rule != "arbitrary":
+    if len(request.parents) != (1 if rule is None else rule.arity):
+        return f"{name} request with {len(request.parents)} operands"
+    if rule is not None:
+        kinds = rule.operands
         for obj in request.parents:
-            if not isinstance(obj, kind) or not position.contains(obj):
-                return f"{what} {fmt(obj)} is not in the position"
+            if not isinstance(obj, kinds) or not position.contains(obj):
+                return f"{rule.role} {fmt(obj)} is not in the position"
         return None
     region, = request.parents
     if isinstance(region, Disk):
@@ -198,15 +173,36 @@ def request_problem(request, position: Position) -> str | None:
     return f"point request in {region!r}, neither a disk nor a cell"
 
 
+def judge(request, position: Position, answer) -> tuple | Aborted:
+    """One move: what a request makes in the position, or the Aborted
+    outcome that ends the game.  A construction is built by `build()`; a
+    point request's region goes to `answer(region, position)`, and the
+    point counts when `answer_problem` accepts it."""
+    problem = request_problem(request, position)
+    if problem is not None:
+        return Aborted("malformed-request", problem)
+    if request.rule != "arbitrary":
+        try:
+            return request.build()
+        except DegenerateInputError as exc:
+            return Aborted("malformed-request", str(exc))
+    region, = request.parents
+    found = answer(region, position)
+    problem = answer_problem(region, found, position.tower)
+    if problem is not None:
+        return Aborted("region-scan-exhausted" if found is None
+                       else "bob-violation", problem)
+    return (found,)
+
+
 def play(points, curves, target, alice, bob,
          max_moves: int = DEFAULT_MAX_MOVES) -> GameRecord:
     """Referee a game from the configuration (points, curves).
 
     Alice is a callable (position, moves_so_far) -> request step or
-    STOP.  The referee builds construction requests with their
-    `build()`, and Bob answers point requests via `answer(region,
-    position)`; the answer counts when `answer_problem` accepts it.
-    Each move is recorded as `Step(rule, made, parents, round=move)`.
+    STOP.  Each request is judged by `judge`, with Bob's
+    `answer(region, position)` answering point requests, and each move
+    is recorded as `Step(rule, made, parents, round=move)`.
     The game ends with AliceWins when the target is in the position,
     Timeout at the move budget or when Alice stops, and Aborted with its
     reason when Alice raises RunAbort (a scripted Alice's run aborted),
@@ -214,6 +210,7 @@ def play(points, curves, target, alice, bob,
     """
     position = Position(points, curves)
     record = GameRecord(None, [], position)
+    answer = getattr(bob, "answer", None)   # a play may need no Bob
     if position.contains(target):
         record.outcome = AliceWins(0)
         return record
@@ -228,26 +225,10 @@ def play(points, curves, target, alice, bob,
             record.added.append(())
             record.outcome = Timeout(max_moves)
             return record
-        problem = request_problem(request, position)
-        if problem is not None:
-            record.outcome = Aborted("malformed-request", problem)
+        made = judge(request, position, answer)
+        if isinstance(made, Aborted):
+            record.outcome = made
             return record
-        if request.rule == "arbitrary":
-            region = request.parents[0]
-            answer = bob.answer(region, position)
-            problem = answer_problem(region, answer, position.tower)
-            if problem is not None:
-                record.outcome = Aborted(
-                    "region-scan-exhausted" if answer is None
-                    else "bob-violation", problem)
-                return record
-            made = (answer,)
-        else:
-            try:
-                made = request.build()
-            except DegenerateInputError as exc:
-                record.outcome = Aborted("malformed-request", str(exc))
-                return record
         record.moves.append(Step(request.rule, made, request.parents,
                                  round=index))
         record.added.append(tuple(obj for obj in made if position.add(obj)))

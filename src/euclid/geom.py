@@ -26,8 +26,9 @@ point's mirror image, with no root.  The predicates `side` and
 `contains` run on term pairs too and make no element at all; `eval`
 makes one, the value they read.  `cross(p, q, r)` is the one signed
 area formula: `orientation` reads its sign, and `net` its ratios.
-`Step` records one construction step in the traces of runs, closures
-and densification alike.
+`Step` records one construction step in the traces of every engine,
+and `RULES` spells each construction rule once, with the builder
+`Step.build` calls.  A class's `kind` is its construction-language name.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .errors import (
     DegenerateInputError,
@@ -68,6 +70,7 @@ def point(tw: Tower, x, y) -> "Point":
 
 class Point:
     __slots__ = ("x", "y")
+    kind = "point"      # the class's name in construction programs
 
     def __init__(self, x: Constructible, y: Constructible):
         if x.tower is not y.tower:
@@ -99,6 +102,7 @@ class Line:
     """a*x + b*y + c = 0, scaled so the first nonzero of (a, b) is 1."""
 
     __slots__ = ("a", "b", "c")
+    kind = "line"
 
     def __init__(self, a: Constructible, b: Constructible, c: Constructible):
         tw = a.tower
@@ -191,6 +195,7 @@ class Line:
 
 class Circle:
     __slots__ = ("center", "r2")
+    kind = "circle"
 
     def __init__(self, center: Point, r2: Constructible):
         if r2.tower is not center.tower:
@@ -260,12 +265,11 @@ class Step:
 
     `made` is what the step produced and `parents` its operands; `round`
     is the closure round, or in a play the move number.  A request is a
-    step whose `made` is still empty.  Layouts by rule, made / parents:
+    step whose `made` is still empty.  A line, circle or intersect step
+    has its `RULES` entry's operands as parents and what the entry's
+    builder returns as `made`.  The other layouts, made / parents:
       input, given, choose:  (obj,) / ()
       arbitrary:  (point,) / (region,)
-      line:       (line,) / (p, q)
-      circle:     (circle,) / (center, a, b)
-      intersect:  (*points) / (g, h)
       test:       (value, kind, negated) / argument objects
       abort:      () / (), the reason in the label
       stop:       () / (), a play's last move when Alice gives up
@@ -289,17 +293,37 @@ class Step:
         return self.label
 
     def build(self) -> tuple:
-        """What a line, circle or intersect step makes from its parents.
-        A degenerate step raises the DegenerateInputError of the `Line`,
-        `Circle` or `intersect` it calls."""
-        if self.rule == "line":
-            return (Line.through(*self.parents),)
-        if self.rule == "circle":
-            center, a, b = self.parents
-            return (Circle(center, dist2(a, b)),)
-        if self.rule == "intersect":
-            return tuple(intersect(*self.parents))
-        raise ValueError(f"a {self.rule} step builds nothing")
+        """What a line, circle or intersect step makes from its parents,
+        by its rule's builder.  A degenerate step raises the builder's
+        DegenerateInputError."""
+        rule = RULES.get(self.rule)
+        if rule is None:
+            raise ValueError(f"a {self.rule} step builds nothing")
+        return rule.build(*self.parents)
+
+
+class Rule(NamedTuple):
+    """A construction rule, as the game's referee carries it out."""
+
+    arity: int          # the number of operands
+    operands: tuple     # the classes every operand must be one of
+    role: str           # an operand's name in a referee message
+    text: str           # the move text, formatted over each operand's `fmt`
+    build: Callable     # the tuple of objects a step makes from its operands
+
+
+# A builder looks `intersect` up when it runs, so a wrapper bound over
+# the module's `intersect` (a profiler's) sees every step's meets.
+RULES = {
+    "line": Rule(2, (Point,), "line endpoint", "line {} {}",
+                 lambda p, q: (Line.through(p, q),)),
+    "circle": Rule(3, (Point,), "circle reference",
+                   "circle center {} radius |{} {}|",
+                   lambda center, a, b: (Circle(center, dist2(a, b)),)),
+    "intersect": Rule(2, (Line, Circle), "intersection operand",
+                      "intersect {} with {}",
+                      lambda g, h: tuple(intersect(g, h))),
+}
 
 
 # -- scalar helpers ----------------------------------------------------------

@@ -25,8 +25,7 @@ from itertools import combinations
 
 from .errors import DegenerateInputError, ResourceLimitError, ScopeError
 from .field import _add_t, _rational_t
-from .dsl.interp import answer_problem
-from .game import STOP, Position, RLine, RPointInCell, request_problem
+from .game import STOP, STRAIGHTEDGE_OPS, Aborted, Position, judge
 from .geom import Line, Point, Step, cross, dist2, intersect, orientation
 from .regions import Cell, Disk, contains_closed_disk, triangle_cell
 
@@ -47,7 +46,7 @@ class DensifyResult:
 
 def straightedge_only(trace) -> bool:
     """Whether every step of a trace is a line or intersection step."""
-    return all(step.rule in ("line", "intersect") for step in trace)
+    return all(step.rule in STRAIGHTEDGE_OPS for step in trace)
 
 
 def replay_trace(trace, objects) -> bool:
@@ -56,15 +55,18 @@ def replay_trace(trace, objects) -> bool:
     `objects` are known from the start, kept in a `game.Position`.
     Input and given steps make their object known; test, abort and stop
     steps are skipped; a choose step must pick a known object.  Every
-    other step is judged as the game's referee judges a request: it
-    must pass `request_problem` in the position so far, a line, circle
-    or intersect step must be non-degenerate and every object it made
-    must be in what its `build()` gives, and an arbitrary step's one
-    point must pass `answer_problem`.  Any failed check gives False.
+    other step is judged by the game's referee, `game.judge`, in the
+    position so far, with the step's one recorded point as the answer to
+    an arbitrary step; every object the step made must be among what
+    the referee makes.  Any failed check gives False.
     """
     position = Position()
     for obj in objects:
         position.add(obj)
+
+    def recorded(region, state):
+        return made[0] if len(made) == 1 else None
+
     for step in trace:
         rule, made = step.rule, step.made
         if rule in ("test", "abort", "stop"):
@@ -73,20 +75,12 @@ def replay_trace(trace, objects) -> bool:
             if len(made) != 1 or not position.contains(made[0]):
                 return False
         elif rule not in ("input", "given"):
-            if request_problem(step, position) is not None:
+            redo = judge(step, position, recorded)
+            if isinstance(redo, Aborted):
                 return False
-            if rule == "arbitrary":
-                if len(made) != 1 or answer_problem(
-                        step.parents[0], made[0], position.tower) is not None:
+            for m in made:
+                if m not in redo:
                     return False
-            else:
-                try:
-                    redo = step.build()
-                except DegenerateInputError:
-                    return False
-                for m in made:
-                    if m not in redo:
-                        return False
         for m in made:
             position.add(m)
     return True
@@ -437,11 +431,11 @@ class RestrictedAlice:
         if len(points) < 2:
             raise ResourceLimitError(
                 "translation needs two position points to start from")
-        base, = (yield RLine(points[0], points[1])).made
+        base, = (yield Step("line", (), (points[0], points[1]))).made
         candidates = []
         for attempt in range(SCAFFOLD_TRIES):
             sign = 1 if attempt % 2 == 0 else -1
-            move = yield RPointInCell(Cell(((base, sign),)))
+            move = yield Step("arbitrary", (), (Cell(((base, sign),)),))
             candidates.append(move.made[0])
             found = self._containing_triangle(candidates, center, r2)
             if found is not None:
@@ -451,10 +445,10 @@ class RestrictedAlice:
                 "translation found no triangle containing the disk")
         (ta, tb, tc), cell = found
         for p, q in ((ta, tb), (tb, tc), (tc, ta)):
-            yield RLine(p, q)
+            yield Step("line", (), (p, q))
         # the referee compares curves structurally, so the cell's sides
         # are the lines just requested
-        companion, = (yield RPointInCell(cell)).made
+        companion, = (yield Step("arbitrary", (), (cell,))).made
         result = densify(ta, tb, tc, companion, center,
                          self._disk_eps(r2))
         for step in result.trace:

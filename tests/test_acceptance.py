@@ -15,10 +15,10 @@ from euclid.closure import ALL_OPS, Budget, closure, derivable, expand_once
 from euclid.dsl import SamplingOracle, run
 from euclid.dsl.ast import If, LetArbitrary, LetChoose, While
 from euclid.field import Tower
-from euclid.game import (AliceWins, CertificateBob, Disk, RLine, RPointInDisk,
-                         Timeout, certificate_bob, check_certificate, play,
+from euclid.game import (AliceWins, CertificateBob, Disk, Timeout,
+                         certificate_bob, check_certificate, play,
                          rational_certificate, sampling_bob, scripted_alice)
-from euclid.geom import Circle, Point, dist2, intersect, point
+from euclid.geom import Circle, Point, Step, dist2, intersect, point
 from euclid.net import densify, replay_trace, straightedge_only
 from euclid.replay import GAP_MAP, transport
 from engine_checks import char_poly, grid_gaps
@@ -212,8 +212,9 @@ def test_game_suite_wins_timeouts_and_certificates():
             if len(moves) % 2 == 0 or pts[-1] == pts[-2]:
                 center = point(t, Fraction(3, 2) + Fraction(len(moves), 8),
                                Fraction(len(moves) % 3, 4))
-                return RPointInDisk(Disk(center, t.from_rational(1)))
-            return RLine(pts[-1], pts[-2])
+                disk = Disk(center, t.from_rational(1))
+                return Step("arbitrary", (), (disk,))
+            return Step("line", (), (pts[-1], pts[-2]))
 
         record = play([a, b], [], root2, alice, certificate_bob(cert, 3),
                       max_moves=24)

@@ -15,11 +15,6 @@ from euclid.game import (
     Aborted,
     CertificateBob,
     Position,
-    RCircle,
-    RIntersect,
-    RLine,
-    RPointInCell,
-    RPointInDisk,
     SamplingBob,
     Timeout,
     certificate_bob,
@@ -30,6 +25,7 @@ from euclid.game import (
     scripted_alice,
 )
 from euclid.geom import Circle, Line, Point, Step, point
+from euclid.net import replay_trace
 from euclid.regions import Cell, Disk
 
 
@@ -83,7 +79,7 @@ def test_never_stop_strategy_times_out():
     a, b = point(tw, 0, 0), point(tw, 2, 0)
 
     def harmless(position, moves):
-        return RLine(a, b)
+        return Step("line", (), (a, b))
 
     record = play([a, b], [], point(tw, 5, 5), harmless, None, max_moves=7)
     assert record.outcome == Timeout(7)
@@ -207,7 +203,7 @@ def test_malformed_requests_abort():
     stranger = point(tw, 7, 7)
 
     def alice(position, moves):
-        return RLine(a, stranger)
+        return Step("line", (), (a, stranger))
 
     record = play([a, b], [], point(tw, 1, 0), alice, None)
     assert record.outcome == Aborted(
@@ -215,7 +211,7 @@ def test_malformed_requests_abort():
         "line endpoint (<7 ~ 7>, <7 ~ 7>) is not in the position")
 
     def alice2(position, moves):
-        return RLine(a, a)
+        return Step("line", (), (a, a))
 
     record = play([a, b], [], point(tw, 1, 0), alice2, None)
     assert record.outcome.reason == "malformed-request"
@@ -223,25 +219,39 @@ def test_malformed_requests_abort():
     l = Line.through(a, b)
     far = Line.through(a, stranger)
     for request, problem in (
-            (RCircle(a, b, b), "circle needs a positive squared radius"),
-            (RIntersect(l, l), "identical lines"),
-            (RCircle(a, b, stranger), "circle reference (<7 ~ 7>, <7 ~ 7>) "
-                                      "is not in the position"),
-            (RIntersect(l, far), "intersection operand Line(<1 ~ 1>, "
-                                 "<-1 ~ -1>, <0 ~ 0>) is not in the position"),
-            (RPointInDisk(l), "point request in Line(<0 ~ 0>, <1 ~ 1>, "
-                              "<0 ~ 0>), neither a disk nor a cell"),
+            (Step("circle", (), (a, b, b)),
+             "circle needs a positive squared radius"),
+            (Step("intersect", (), (l, l)), "identical lines"),
+            (Step("circle", (), (a, b, stranger)),
+             "circle reference (<7 ~ 7>, <7 ~ 7>) is not in the position"),
+            (Step("intersect", (), (l, far)),
+             "intersection operand Line(<1 ~ 1>, <-1 ~ -1>, <0 ~ 0>) is not "
+             "in the position"),
+            (Step("arbitrary", (), (l,)),
+             "point request in Line(<0 ~ 0>, <1 ~ 1>, <0 ~ 0>), neither a "
+             "disk nor a cell"),
             (Step("line", (), (a,)), "line request with 1 operands"),
-            (RLine(a, l), "line endpoint Line(<0 ~ 0>, <1 ~ 1>, <0 ~ 0>) "
-                          "is not in the position"),
-            (RPointInCell(Cell(((far, 1),))), "cell condition on Line(<1 ~ 1>, "
-                                             "<-1 ~ -1>, <0 ~ 0>) outside the "
-                                             "position"),
+            (Step("line", (), (a, l)),
+             "line endpoint Line(<0 ~ 0>, <1 ~ 1>, <0 ~ 0>) is not in the "
+             "position"),
+            (Step("arbitrary", (), (Cell(((far, 1),)),)),
+             "cell condition on Line(<1 ~ 1>, <-1 ~ -1>, <0 ~ 0>) outside "
+             "the position"),
+            (Step("intersect", (), (l, a)),
+             "intersection operand (<0 ~ 0>, <0 ~ 0>) is not in the position"),
+            (Step("circle", (), (a, b)), "circle request with 2 operands"),
+            (Step("intersect", (), (l, l, l)),
+             "intersect request with 3 operands"),
+            (Step("arbitrary", (), (Cell(()), Cell(()))),
+             "arbitrary request with 2 operands"),
             ("stop", "unknown request 'stop'")):
         record = play([a, b], [l], point(tw, 1, 1),
                       lambda position, moves: request, None)
         assert record.outcome == Aborted("malformed-request", problem)
         assert record.moves == []
+        # replay judges a recorded step as the referee judges a request
+        if request != "stop":
+            assert not replay_trace([request], [a, b, l]), problem
 
 
 def test_disk_request_from_another_session_aborts():
@@ -250,7 +260,7 @@ def test_disk_request_from_another_session_aborts():
     for disk in (Disk(point(other, 0, 0), tw.from_rational(1)),
                  Disk(point(tw, 0, 0), other.from_rational(1))):
         record = play([a], [], point(tw, 1, 1),
-                      lambda position, moves: RPointInDisk(disk),
+                      lambda position, moves: Step("arbitrary", (), (disk,)),
                       sampling_bob(0))
         assert record.outcome == Aborted(
             "malformed-request", "disk request from another session")
@@ -266,7 +276,7 @@ def test_bob_violation_aborts():
             return point(position.tower, 100, 100)
 
     def alice(position, moves):
-        return RPointInDisk(Disk(a, tw.from_rational(1)))
+        return Step("arbitrary", (), (Disk(a, tw.from_rational(1)),))
 
     record = play([a], [], point(tw, 1, 0), alice, LiarBob())
     assert record.outcome.reason == "bob-violation"
@@ -298,7 +308,7 @@ def test_run_and_referee_judge_point_answers_alike():
         with pytest.raises(RunAbort) as ei:
             run(program, [a, b], ReplayOracle([bad]))
         record = play([a, b], [], point(tw, 9, 9),
-                      lambda position, moves: RPointInDisk(region),
+                      lambda position, moves: Step("arbitrary", (), (region,)),
                       FixedBob(bad))
         exhausted = bad is None
         assert ei.value.reason == ("region-scan-exhausted" if exhausted
@@ -316,7 +326,7 @@ def test_empty_cell_request_exhausts_the_scan():
     outer = Circle(point(tw, 0, 0), tw.from_rational(4))
 
     def alice(position, moves):
-        return RPointInCell(Cell(((inner, -1), (outer, 1))))
+        return Step("arbitrary", (), (Cell(((inner, -1), (outer, 1))),))
 
     record = play([], [inner, outer], point(tw, 5, 5), alice, sampling_bob(0))
     assert record.outcome.reason == "region-scan-exhausted"
@@ -370,11 +380,11 @@ def test_chord_line_game_from_a_bare_circle():
     def chord(position, moves):
         n = len(moves)
         if n == 0:
-            return RPointInCell(Cell(((k, -1),)))
+            return Step("arbitrary", (), (Cell(((k, -1),)),))
         if n == 1:
-            return RPointInCell(Cell(((k, 1),)))
+            return Step("arbitrary", (), (Cell(((k, 1),)),))
         if n == 2:
-            return RLine(position.points[0], position.points[1])
+            return Step("line", (), (position.points[0], position.points[1]))
         return STOP
 
     probe = play([], [k], point(tw, 9, 9), chord, sampling_bob(11))
@@ -410,7 +420,7 @@ def test_intersect_request_of_disjoint_curves_adds_nothing():
     c2 = Circle(point(tw, 10, 0), tw.from_rational(1))
 
     def alice(position, moves):
-        return RIntersect(c1, c2) if not moves else STOP
+        return Step("intersect", (), (c1, c2)) if not moves else STOP
 
     record = play([], [c1, c2], point(tw, 1, 1), alice, None, max_moves=3)
     assert record.added[0] == ()
@@ -455,8 +465,8 @@ def test_certificate_bob_excludes_target_at_several_budgets():
         if n % 2 == 0 or pts[-1] == pts[-2]:
             center = point(tw, Fraction(3, 2) + Fraction(n, 8),
                            Fraction(n % 3, 4))
-            return RPointInDisk(Disk(center, tw.from_rational(1)))
-        return RLine(pts[-1], pts[-2])
+            return Step("arbitrary", (), (Disk(center, tw.from_rational(1)),))
+        return Step("line", (), (pts[-1], pts[-2]))
 
     for budget in (8, 24):
         record = play([a, b], [], target, alice,

@@ -1,14 +1,17 @@
 """The only lint tier-1 runs: no engine module imports a name it never
-uses, and no module-level private name of an engine module is dead.
-An imported name counts as used when any `ast.Name` in the module reads
+uses, and no module-level name of an engine module is dead.  An
+imported name counts as used when any `ast.Name` in the module reads
 it, or when the module's `__all__` lists it.  A private function, class
 or assignment counts as used when its own module reads it, or when any
-module imports it or reads it as an attribute."""
+engine module imports it or reads it as an attribute; a public one when
+any module of the engine, its tests or its benchmark reads it as a
+name, imports it or reads it as an attribute."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -38,7 +41,9 @@ def test_no_module_imports_a_name_it_never_uses():
     assert found == []
 
 
-def _private_defs(tree: ast.Module):
+def _module_defs(tree: ast.Module):
+    """The line and name of each module-level function, class and
+    assignment, dunder names left out."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -50,26 +55,49 @@ def _private_defs(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__"):
                 yield node.lineno, name
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name)
+            and not isinstance(node.ctx, ast.Store)}
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """Names the module imports or reads as an attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+    return found
 
 
 def test_no_private_module_name_is_dead():
     trees = {path: ast.parse(path.read_text())
              for path in sorted((SRC / "euclid").rglob("*.py"))}
-    imported = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute):
-                imported.add(node.attr)
-            elif isinstance(node, ast.alias):
-                imported.add(node.name.split(".")[-1])
+    imported = set().union(*map(_imported_names, trees.values()))
     found = []
     for path, tree in trees.items():
-        read = {node.id for node in ast.walk(tree)
-                if isinstance(node, ast.Name)
-                and not isinstance(node.ctx, ast.Store)}
+        read = _read_names(tree)
         found += [f"{path.relative_to(SRC)}:{line} {name}"
-                  for line, name in _private_defs(tree)
-                  if name not in read and name not in imported]
+                  for line, name in _module_defs(tree)
+                  if name.startswith("_")
+                  and name not in read and name not in imported]
+    assert found == []
+
+
+def test_no_public_module_name_is_dead():
+    readers = [ast.parse(path.read_text())
+               for folder in ("src", "tests", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    used = set().union(*map(_read_names, readers),
+                       *map(_imported_names, readers))
+    found = [f"{path.relative_to(SRC)}:{line} {name}"
+             for path in sorted((SRC / "euclid").rglob("*.py"))
+             for line, name in _module_defs(ast.parse(path.read_text()))
+             if not name.startswith("_") and name not in used]
     assert found == []

@@ -11,7 +11,6 @@ from euclid.field import Tower
 from euclid.game import (
     STOP,
     AliceWins,
-    RPointInDisk,
     SamplingBob,
     Timeout,
     play,
@@ -301,6 +300,36 @@ def test_replay_trace_rederives_every_engine(source):
             assert not replay_trace(forged, start), i
 
 
+def test_replay_of_a_play_with_a_disk_move():
+    # a disk request around a centre nobody constructed, then a line to
+    # Bob's answer: replay accepts the play, and no other point
+    tw = Tower()
+    a, b = point(tw, 0, 0), point(tw, 2, 0)
+    disk = Disk(point(tw, Fraction(3, 2), Fraction(1, 4)),
+                tw.from_rational(1))
+
+    def alice(position, moves):
+        if not moves:
+            return Step("arbitrary", (), (disk,))
+        if len(moves) == 1:
+            return Step("line", (), (a, moves[0].made[0]))
+        return STOP
+
+    record = play([a, b], [], point(tw, 9, 9), alice, SamplingBob(0))
+    assert record.transcript() == "\n".join((
+        "move 1: ALICE point in Disk(center=Point(<3/2 ~ 1.5>, "
+        "<1/4 ~ 0.25>), r2=<1 ~ 1>) / BOB (<2 ~ 2>, <-1/4 ~ -0.25>) / "
+        "POSITION +(<2 ~ 2>, <-1/4 ~ -0.25>)",
+        "move 2: ALICE line (<0 ~ 0>, <0 ~ 0>) (<2 ~ 2>, <-1/4 ~ -0.25>) / "
+        "BOB - / POSITION +Line(<1 ~ 1>, <8 ~ 8>, <0 ~ 0>)",
+        "move 3: ALICE stop / BOB - / POSITION +nothing",
+        "outcome: Timeout(move_budget=50)"))
+    assert replay_trace(record.moves, [a, b])
+    moved = replace(record.moves[0], made=(point(tw, 9, 9),))
+    assert not replay_trace([moved, *record.moves[1:]], [a, b])
+    assert not replay_trace([moved], [a, b])     # outside the disk
+
+
 def test_restricted_alice_translates_disk_requests():
     tw = Tower()
     p0, p1 = point(tw, 0, 0), point(tw, 1, 0)
@@ -311,7 +340,7 @@ def test_restricted_alice_translates_disk_requests():
         if any(m.rule == "arbitrary" for m in moves):
             assert (dist2(moves[-1].made[0], center) - r2).sign() < 0
             return STOP
-        return RPointInDisk(Disk(center, r2))
+        return Step("arbitrary", (), (Disk(center, r2),))
 
     alice = RestrictedAlice(inner)
     record = play([p0, p1], [], point(tw, 99, 99), alice, SamplingBob(1),
@@ -340,7 +369,7 @@ def test_restricted_alice_tries_each_triangle_once(monkeypatch):
     def inner(position, moves):
         if moves:
             return STOP
-        return RPointInDisk(Disk(center, r2))
+        return Step("arbitrary", (), (Disk(center, r2),))
 
     play([p0, p1], [], point(tw, 99, 99), RestrictedAlice(inner),
          SamplingBob(1), max_moves=1500)
@@ -368,8 +397,9 @@ def test_restricted_alice_translation_budget_error(monkeypatch):
     p0, p1 = point(tw, 0, 0), point(tw, 1, 0)
 
     def inner(position, moves):
-        return RPointInDisk(Disk(point(tw, Fraction(1, 2), Fraction(1, 4)),
-                                 tw.from_rational(Fraction(1, 16))))
+        disk = Disk(point(tw, Fraction(1, 2), Fraction(1, 4)),
+                    tw.from_rational(Fraction(1, 16)))
+        return Step("arbitrary", (), (disk,))
 
     alice = RestrictedAlice(inner)
     with pytest.raises(ResourceLimitError,
