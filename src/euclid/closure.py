@@ -21,10 +21,11 @@ would have given is known already or lies in the field of the known
 point and the curves, so the objects, their order and the trace are
 those of intersecting every pair.
 
-Duplicate detection hashes the objects themselves: towers keep every
-element in canonical form, so equal points and curves have equal
-coordinates term by term, and an insertion-ordered dict both drops
-exact duplicates and keeps arrival order.
+The run keeps what it knows in a `geom.Position`, whose one dict maps
+each object to its arrival index: towers keep every element in
+canonical form, so equal points and curves have equal coordinates term
+by term, and one probe of that dict both drops an exact duplicate and
+gives the arrival index the incidence lists are kept by.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .geom import (
     Curve,
     Line,
     Point,
+    Position,
     Step,
     dist2,
     intersect,
@@ -83,10 +85,7 @@ class _Run:
         if bad:
             raise ValueError(f"unknown closure ops: {sorted(bad)}")
         self.target = target
-        # insertion-ordered: each object maps to its arrival index
-        self.points: dict[Point, int] = {}
-        self.curves: dict[Curve, int] = {}
-        self.known: list[Point] = []        # the points by arrival index
+        self.position = Position()
         # incidences known by construction, as arrival indices: the
         # curves through each point, and the points each curve was drawn
         # through, which is all a curve's own intersect pass reads of it
@@ -101,38 +100,26 @@ class _Run:
         for obj in (*points, *curves):
             if self._index(obj)[1]:
                 self.trace.append(Step("given", (obj,)))
-        if target is not None and (target in self.points
-                                   or target in self.curves):
+        if target is not None and target in self.position.index:
             self.found_round = 0
 
-    @property
-    def size(self) -> int:
-        return len(self.points) + len(self.curves)
-
     def result(self, complete: bool) -> ClosureResult:
-        return ClosureResult(list(self.points), list(self.curves),
+        position = self.position
+        return ClosureResult(position.points[:], position.curves[:],
                              self.rounds, complete, self.trace)
 
     def _check_budget(self):
-        if self.size > self.budget.max_objects:
+        if self.position.size > self.budget.max_objects:
             raise ResourceLimitError(
                 f"closure exceeded {self.budget.max_objects} objects",
                 partial=self.result(False))
 
     def _index(self, obj: Point | Curve) -> tuple[int, bool]:
         """obj's arrival index, admitting it if new; and whether it was."""
-        is_point = isinstance(obj, Point)
-        seen = self.points if is_point else self.curves
-        k = seen.get(obj)
-        if k is not None:
-            return k, False
-        seen[obj] = k = len(seen)
-        if is_point:
-            self.known.append(obj)
-            self.through.append([])
-        else:
-            self.on.append([])
-        return k, True
+        k, new = self.position.admit(obj)
+        if new:
+            (self.through if isinstance(obj, Point) else self.on).append([])
+        return k, new
 
     def _add(self, obj: Point | Curve, rule: str, parents: tuple) -> int:
         """obj's arrival index; a new obj is traced and budgeted first."""
@@ -153,8 +140,9 @@ class _Run:
     def round(self) -> bool:
         """One saturation round; returns True if anything new appeared."""
         self.rounds += 1
-        start = self.size
-        pts = self.known[:]             # pts[i] has arrival index i
+        known = self.position
+        start = known.size
+        pts = known.points[:]           # pts[i] has arrival index i
         if "line" in self.ops:
             for j in range(len(pts)):
                 for i in range(j):
@@ -180,7 +168,7 @@ class _Run:
                     if self.found_round is not None:
                         return True
         if "intersect" in self.ops:
-            curves = list(self.curves)      # stable: dicts keep arrival order
+            curves = known.curves[:]        # curves[i] has arrival index i
             through = self.through
             for j in range(self.intersected, len(curves)):
                 v = curves[j]
@@ -200,7 +188,7 @@ class _Run:
                         # distinct curves meet at most twice, lines once
                         continue
                     else:
-                        meets = (second_meet(u, v, self.known[common[0]]),)
+                        meets = (second_meet(u, v, known.points[common[0]]),)
                     for p in meets:
                         k = self._add(p, "intersect", (u, v))
                         at = through[k]
@@ -213,7 +201,7 @@ class _Run:
                     if self.found_round is not None:
                         return True
             self.intersected = len(curves)
-        return self.size > start
+        return known.size > start
 
     def run(self) -> bool:
         """Rounds until fixed point, target hit, or round budget; True

@@ -1,7 +1,8 @@
 """Syntax tree for construction programs.
 
 Statements bind names to geometric objects; tests are the exact
-predicates available to If, While, and Choose.  A construction
+predicates available to If, While, and Choose, each an entry of
+`geom.TESTS`.  A construction
 statement is a `LetStep`: its rule names its syntax in `RULES` and its
 operands' classes in `geom.RULES`, and the interpreter turns it into the
 request `geom.Step` with the same rule.  Every node keeps the source
@@ -18,16 +19,6 @@ from typing import NamedTuple
 from ..geom import Circle, Line, Point
 
 POINT, LINE, CIRCLE = Point.kind, Line.kind, Circle.kind
-
-TEST_ARITY = {
-    "equal": 2,
-    "on": 2,
-    "intersects": 2,
-    "between": 3,
-    "dist_le": 4,
-    "dist_eq": 4,
-    "ccw": 3,
-}
 
 
 # A cell condition's curve kind, and the sign of the curve's value on
@@ -73,7 +64,7 @@ class Param:
 
 @dataclass(frozen=True)
 class Test:
-    kind: str                   # key of TEST_ARITY
+    kind: str                   # key of geom.TESTS
     args: tuple[str, ...]
     negated: bool = False
     pos: Pos = field(default=Pos(0, 0), compare=False)

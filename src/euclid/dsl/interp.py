@@ -1,7 +1,9 @@
 """Interpreter for construction programs.
 
-Runs a parsed program over exact geometric inputs.  Every predicate is
-decided with exact sign tests.  The statement executor is a generator:
+Runs a parsed program over exact geometric inputs.  Every test is
+decided exactly, by its `geom.TESTS` entry.  A run keeps what it knows
+in its environment, and shows an oracle the tower, points and curves a
+`geom.Position` would.  The statement executor is a generator:
 it yields one request per construction or arbitrary-point statement, a
 `geom.Step` whose `made` is still empty.  A construction statement (a
 `LetStep`) gives the step its rule and the objects its operands name;
@@ -25,18 +27,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..errors import DegenerateInputError, IdenticalCurvesError, RunAbort
-from ..geom import (
-    Circle,
-    Line,
-    Point,
-    Step,
-    between,
-    dist_compare,
-    fmt,
-    intersects,
-    orientation,
-)
+from ..errors import DegenerateInputError, RunAbort
+from ..geom import TESTS, Circle, Line, Point, Step, fmt
 from ..regions import Cell, Disk, sample_point
 from .ast import (
     CELL_CONDS,
@@ -86,9 +78,7 @@ class SamplingOracle:
         self._rng = random.Random(seed)
 
     def answer(self, region, state) -> Point | None:
-        return sample_point(state.tower, region, self._rng,
-                            avoid_points=state.points,
-                            avoid_curves=state.curves)
+        return sample_point(region, self._rng, state)
 
 
 class ReplayOracle:
@@ -104,26 +94,6 @@ class ReplayOracle:
         p = self._points[self._next]
         self._next += 1
         return p
-
-
-def decide(kind: str, objs) -> bool:
-    """Decide an unnegated test on its argument objects exactly."""
-    if kind == "equal":
-        return objs[0] == objs[1]
-    if kind == "on":
-        return objs[1].contains(objs[0])
-    if kind == "intersects":
-        try:
-            return intersects(objs[0], objs[1])
-        except IdenticalCurvesError:
-            return True
-    if kind == "between":
-        return between(*objs)
-    if kind == "ccw":
-        return orientation(*objs) > 0
-    if kind == "dist_le":
-        return dist_compare(*objs) <= 0
-    return dist_compare(*objs) == 0     # dist_eq
 
 
 def build_region(env: dict, tower, expr):
@@ -187,11 +157,12 @@ class _Run:
             names = (st.name,)
         elif isinstance(st, LetChoose):
             passing = []
+            decide = TESTS[st.test.kind].decide
             for cand in st.candidates:
                 obj = env[cand]
                 args = [obj if n == st.name else env[n]
                         for n in st.test.args]
-                if decide(st.test.kind, args) != st.test.negated:
+                if decide(*args) != st.test.negated:
                     passing.append((cand, obj))
             if len(passing) != 1:
                 names = [c for c, _ in passing] or ["none"]
@@ -257,7 +228,7 @@ class _Run:
 
     def eval_test(self, test: Test) -> bool:
         args = [self.env[n] for n in test.args]
-        value = decide(test.kind, args) != test.negated
+        value = TESTS[test.kind].decide(*args) != test.negated
         neg = "not " if test.negated else ""
         self.trace.append(Step(
             "test", (value, test.kind, test.negated), tuple(args),

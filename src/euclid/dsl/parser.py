@@ -24,7 +24,8 @@ Parsing reports syntax problems as ParseError with positions; the
 static checker rejects unknown names, arity and kind mismatches,
 rebinding outside While bodies, and unbound returns as CheckError.
 Line, circle and intersect statements are parsed and checked from
-`ast.RULES`, their syntax, and `geom.RULES`, their operands' classes.
+`ast.RULES`, their syntax, and `geom.RULES`, their operands' classes;
+tests from `geom.TESTS`, their names and their operands' classes.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .ast import (
     LINE,
     POINT,
     RULES,
-    TEST_ARITY,
     CellExpr,
     DiskExpr,
     If,
@@ -58,7 +58,7 @@ KEYWORDS = frozenset({
     "arbitrary", "if", "else", "while", "budget", "return",
     "in_disk", "in_cell", "inside", "outside", "pos", "neg", "not",
     "point",
-} | set(TEST_ARITY))
+} | set(geom.TESTS))
 
 PUNCT = "(){}[],;|=/"
 
@@ -323,7 +323,7 @@ class _Parser:
             return Test(inner.kind, inner.args, not inner.negated,
                         Pos(tok.line, tok.col))
         tok = self.next()
-        if tok.kind not in TEST_ARITY:
+        if tok.kind not in geom.TESTS:
             raise ParseError(f"unknown test {tok.text!r}", tok.line, tok.col)
         self.expect("(")
         args = self.namelist()
@@ -348,31 +348,24 @@ def _lookup(env: dict, name: str, pos: Pos) -> str:
     return env[name]
 
 
-def _want(env: dict, name: str, kinds, pos: Pos, what: str):
+def _want(env: dict, name: str, kinds, pos: Pos, what: str) -> str:
     kind = _lookup(env, name, pos)
     if kind not in kinds:
         _fail(pos, f"{what} needs {' or '.join(kinds)}, but {name!r} is a {kind}")
+    return kind
 
 
 def _check_test(test: Test, env: dict):
-    arity = TEST_ARITY[test.kind]
-    if len(test.args) != arity:
-        _fail(test.pos, f"{test.kind} takes {arity} arguments, got {len(test.args)}")
-    a = test.args
-    if test.kind == "equal":
-        k0 = _lookup(env, a[0], test.pos)
-        k1 = _lookup(env, a[1], test.pos)
-        if k0 != k1:
-            _fail(test.pos, f"equal compares same-kind objects, got {k0} and {k1}")
-    elif test.kind == "on":
-        _want(env, a[0], (POINT,), test.pos, "on")
-        _want(env, a[1], (LINE, CIRCLE), test.pos, "on")
-    elif test.kind == "intersects":
-        for name in a:
-            _want(env, name, (LINE, CIRCLE), test.pos, "intersects")
-    else:   # between, ccw, dist_le, dist_eq
-        for name in a:
-            _want(env, name, (POINT,), test.pos, test.kind)
+    operands = geom.TESTS[test.kind].operands
+    if len(test.args) != len(operands):
+        _fail(test.pos, f"{test.kind} takes {len(operands)} arguments, "
+                        f"got {len(test.args)}")
+    kinds = [_want(env, name, tuple(cls.kind for cls in classes), test.pos,
+                   test.kind)
+             for name, classes in zip(test.args, operands)]
+    if test.kind == "equal" and kinds[0] != kinds[1]:
+        _fail(test.pos, f"equal compares same-kind objects, got "
+                        f"{kinds[0]} and {kinds[1]}")
 
 
 def _bind(env: dict, name: str, kind: str, in_loop: bool, pos: Pos):

@@ -7,7 +7,8 @@ open region and are answered by Bob, whose answer is verified exactly
 before it is admitted; `judge` decides one move, by the request's
 `geom.RULES` entry for a construction.  A request is a `geom.Step`
 whose `made` is still empty, and a play's record is the list of filled
-steps, one per move, which `net.replay_trace` judges again.  Adversaries
+steps, one per move, which `net.replay_trace` judges again.  The
+position is a `geom.Position`.  Adversaries
 include a benign seeded sampler and a certificate player that answers
 only with members of a prescribed dense closed set; `check_certificate`
 probes such a set for the falsifiable consequences of being a valid
@@ -24,7 +25,7 @@ from .closure import Budget, expand_once
 from .dsl.ast import Program
 from .dsl.interp import SamplingOracle, answer_problem, requests
 from .errors import DegenerateInputError, RunAbort
-from .geom import RULES, Point, Step, fmt, point
+from .geom import RULES, Point, Position, Step, fmt, point
 from .regions import Cell, Disk
 
 STRAIGHTEDGE_OPS = frozenset({"line", "intersect"})
@@ -76,43 +77,7 @@ def _request_text(step: Step) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Position and game record.
-
-class Position:
-    """Monotonically growing exact configuration, in arrival order."""
-
-    def __init__(self, points=(), curves=()):
-        self.points: list[Point] = []
-        self.curves: list = []
-        self._members: set = set()
-        for p in points:
-            self.add(p)
-        for c in curves:
-            self.add(c)
-
-    @property
-    def tower(self):
-        """The session of the position's objects; None while it is empty."""
-        for objs in (self.points, self.curves):
-            if objs:
-                return objs[0].tower
-        return None
-
-    def add(self, obj) -> bool:
-        """Append if new; True when the position grew."""
-        if obj in self._members:
-            return False
-        self._members.add(obj)
-        (self.points if isinstance(obj, Point) else self.curves).append(obj)
-        return True
-
-    def contains(self, obj) -> bool:
-        return obj in self._members
-
-    @property
-    def size(self) -> int:
-        return len(self.points) + len(self.curves)
-
+# Game record.
 
 @dataclass
 class GameRecord:
@@ -208,7 +173,7 @@ def play(points, curves, target, alice, bob,
     reason when Alice raises RunAbort (a scripted Alice's run aborted),
     a request is malformed or degenerate, or Bob misbehaves.
     """
-    position = Position(points, curves)
+    position = Position([*points, *curves])
     record = GameRecord(None, [], position)
     answer = getattr(bob, "answer", None)   # a play may need no Bob
     if position.contains(target):
@@ -291,8 +256,6 @@ class RationalPlane:
     exactly on tower objects; `enumerate_in_disk` returns the center of
     a disk when it is rational, a member strictly inside, else None.
     """
-
-    name = "rational-plane"
 
     def contains(self, obj) -> bool:
         return obj.height == 0

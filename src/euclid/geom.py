@@ -28,7 +28,10 @@ makes one, the value they read.  `cross(p, q, r)` is the one signed
 area formula: `orientation` reads its sign, and `net` its ratios.
 `Step` records one construction step in the traces of every engine,
 and `RULES` spells each construction rule once, with the builder
-`Step.build` calls.  A class's `kind` is its construction-language name.
+`Step.build` calls.  `TESTS` spells each exact test a strategy may ask
+once: its operands' classes, its decider, and whether projective maps
+keep its answer.  A `Position` is what every engine knows: the objects
+built so far.  A class's `kind` is its construction-language name.
 """
 
 from __future__ import annotations
@@ -324,6 +327,83 @@ RULES = {
                       "intersect {} with {}",
                       lambda g, h: tuple(intersect(g, h))),
 }
+
+
+class Predicate(NamedTuple):
+    """An exact test a strategy may ask about the position."""
+
+    operands: tuple     # the classes each operand may be, in order
+    decide: Callable    # the unnegated answer on the operand objects
+    projective: bool    # whether projective maps keep the answer on
+                        # points and lines
+
+
+def _meets(g: Curve, h: Curve) -> bool:
+    """Whether two curves share a point; a curve shares its own."""
+    try:
+        return intersects(g, h)
+    except IdenticalCurvesError:
+        return True
+
+
+# A decider looks its `geom` predicate up when it runs, so a wrapper
+# bound over the module's name (a profiler's) sees every call.
+_P, _C = (Point,), (Line, Circle)
+TESTS = {
+    "equal": Predicate(((Point, *_C),) * 2, lambda u, v: u == v, True),
+    "on": Predicate((_P, _C), lambda p, c: c.contains(p), True),
+    "intersects": Predicate((_C, _C), _meets, False),
+    "between": Predicate((_P,) * 3, lambda *a: between(*a), False),
+    "dist_le": Predicate((_P,) * 4, lambda *a: dist_compare(*a) <= 0, False),
+    "dist_eq": Predicate((_P,) * 4, lambda *a: dist_compare(*a) == 0, False),
+    "ccw": Predicate((_P,) * 3, lambda *a: orientation(*a) > 0, False),
+}
+
+
+class Position:
+    """What a strategy knows: the objects built so far, the points and
+    the curves each in arrival order.
+
+    `index` maps each object to its arrival index among the points or
+    among the curves.  Towers keep every element canonical, so equal
+    objects hash alike and one dict probe finds or admits an object.
+    """
+
+    def __init__(self, objects=()):
+        self.points: list[Point] = []
+        self.curves: list[Curve] = []
+        self.index: dict = {}
+        for obj in objects:
+            self.add(obj)
+
+    @property
+    def tower(self) -> Tower | None:
+        """The session of the position's objects; None while it is empty."""
+        for objs in (self.points, self.curves):
+            if objs:
+                return objs[0].tower
+        return None
+
+    def admit(self, obj) -> tuple[int, bool]:
+        """obj's arrival index, admitting it if new; and whether it was."""
+        k = self.index.get(obj)
+        if k is not None:
+            return k, False
+        objs = self.points if isinstance(obj, Point) else self.curves
+        self.index[obj] = k = len(objs)
+        objs.append(obj)
+        return k, True
+
+    def add(self, obj) -> bool:
+        """Admit obj; True when the position grew."""
+        return self.admit(obj)[1]
+
+    def contains(self, obj) -> bool:
+        return obj in self.index
+
+    @property
+    def size(self) -> int:
+        return len(self.points) + len(self.curves)
 
 
 # -- scalar helpers ----------------------------------------------------------

@@ -25,8 +25,9 @@ from itertools import combinations
 
 from .errors import DegenerateInputError, ResourceLimitError, ScopeError
 from .field import _add_t, _rational_t
-from .game import STOP, STRAIGHTEDGE_OPS, Aborted, Position, judge
-from .geom import Line, Point, Step, cross, dist2, intersect, orientation
+from .game import STOP, STRAIGHTEDGE_OPS, Aborted, judge
+from .geom import (Line, Point, Position, Step, cross, dist2, intersect,
+                   orientation)
 from .regions import Cell, Disk, contains_closed_disk, triangle_cell
 
 DEFAULT_MAX_ITERATIONS = 96
@@ -52,7 +53,7 @@ def straightedge_only(trace) -> bool:
 def replay_trace(trace, objects) -> bool:
     """Re-derive a run, closure, densify or play trace, checking every step.
 
-    `objects` are known from the start, kept in a `game.Position`.
+    `objects` are known from the start, kept in a `geom.Position`.
     Input and given steps make their object known; test, abort and stop
     steps are skipped; a choose step must pick a known object.  Every
     other step is judged by the game's referee, `game.judge`, in the
@@ -60,9 +61,7 @@ def replay_trace(trace, objects) -> bool:
     an arbitrary step; every object the step made must be among what
     the referee makes.  Any failed check gives False.
     """
-    position = Position()
-    for obj in objects:
-        position.add(obj)
+    position = Position(objects)
 
     def recorded(region, state):
         return made[0] if len(made) == 1 else None
@@ -427,7 +426,7 @@ class RestrictedAlice:
 
     def _translate(self, disk):
         center, r2 = disk.center, disk.r2
-        points = [p for p in self._position.points]
+        points = self._position.points
         if len(points) < 2:
             raise ResourceLimitError(
                 "translation needs two position points to start from")

@@ -126,18 +126,18 @@ def _hint(region: Region) -> tuple[Fraction, Fraction]:
     return Fraction(0), Fraction(0)
 
 
-def sample_point(tower, region: Region, rng: random.Random,
-                 avoid_points=(), avoid_curves=()):
-    """A rational point of the region missing all avoid objects, or None.
+def sample_point(region: Region, rng: random.Random, state):
+    """A rational point of the region in `state.tower` that is none of
+    `state.points` and on none of `state.curves`, or None.
 
-    Stages widen the window and refine the dyadic grid around an anchor
-    derived from the region, so any open nonempty region is found once
-    the grid is fine and wide enough.  The search is deterministic for a
-    given rng state.
+    `state` is what an oracle sees: a `geom.Position`, or a run's
+    objects.  Stages widen the window and refine the dyadic grid around
+    an anchor derived from the region, so any open nonempty region is
+    found once the grid is fine and wide enough.  The search is
+    deterministic for a given rng state.
     """
     hx, hy = _hint(region)
-    avoid_points = list(avoid_points)
-    avoid_curves = list(avoid_curves)
+    tower, avoid_points, avoid_curves = state.tower, state.points, state.curves
     for stage in range(MAX_STAGE):
         k = stage + 2
         span = 1 << (stage // 2)

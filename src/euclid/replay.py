@@ -5,8 +5,10 @@ center, so copying a recorded construction through such a map keeps
 every line-incidence fact true yet breaks compass facts and ordering
 tests.  `transport` replays a run trace under a map, re-checks each
 recorded fact on the transported objects, and reports the first broken
-non-incidence fact.  This is why "copy the construction across the
-map" is not a sound argument: the copied run is no longer a run.
+non-incidence fact.  A test is decided again by its `geom.TESTS`
+entry, which also says whether projective maps keep its answer.  This
+is why "copy the construction across the map" is not a sound argument:
+the copied run is no longer a run.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateInputError, RangeError
-from .dsl.interp import decide
-from .geom import Circle, Line, Point, ProjectiveMap, dist2
+from .geom import TESTS, Circle, Line, Point, ProjectiveMap, dist2
 
 GAP_MAP = ProjectiveMap((("5/4", 0, "3/4"), (0, 1, 0), ("3/4", 0, "5/4")))
 
@@ -149,8 +150,9 @@ class _Transport:
             return
         if any(isinstance(a, Circle) for a in args):
             return
-        after = decide(kind, [self.image(a) for a in args]) != negated
-        klass = "incidence" if kind in ("equal", "on") else "ordering"
+        test = TESTS[kind]
+        after = test.decide(*map(self.image, args)) != negated
+        klass = "incidence" if test.projective else "ordering"
         self.fact(index, klass, step.text, before, after)
 
     def image(self, obj):

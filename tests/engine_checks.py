@@ -117,8 +117,8 @@ class EveryPairRun(_Run):
 
     def round(self) -> bool:
         self.rounds += 1
-        start = self.size
-        pts = list(self.points)
+        start = self.position.size
+        pts = list(self.position.points)
         if "line" in self.ops:
             for j in range(len(pts)):
                 for i in range(j):
@@ -137,7 +137,7 @@ class EveryPairRun(_Run):
                     if self.found_round is not None:
                         return True
         if "intersect" in self.ops:
-            curves = list(self.curves)
+            curves = list(self.position.curves)
             for j in range(self.intersected, len(curves)):
                 for i in range(j):
                     u, v = curves[i], curves[j]
@@ -146,7 +146,7 @@ class EveryPairRun(_Run):
                     if self.found_round is not None:
                         return True
             self.intersected = len(curves)
-        return self.size > start
+        return self.position.size > start
 
 
 # -- line kernels on the general term-pair path alone -------------------------

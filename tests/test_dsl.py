@@ -153,7 +153,7 @@ def test_check_errors():
             }""")
 
 
-# Malformed construction statements and the full message each gives,
+# Malformed statements and tests and the full message each gives,
 # position included.  Each body sits on line 2 of a program whose
 # parameters are points A, B and lines g, h.
 STATEMENT_ERRORS = [
@@ -201,6 +201,43 @@ STATEMENT_ERRORS = [
      "line 2, col 53: rebinding 'x' changes its kind from line to circle"),
     ('while ccw(A, B, A) budget 1 { let [g] = intersect(g, h); }', CheckError,
      "line 2, col 33: rebinding 'g' changes its kind from line to point"),
+    # tests: arity, each test's operand kinds, unknown tests and names
+    ('if ccw(A, B) { }', CheckError,
+     'line 2, col 6: ccw takes 3 arguments, got 2'),
+    ('if equal(A, g) { }', CheckError,
+     'line 2, col 6: equal compares same-kind objects, got point and line'),
+    ('if equal(g, A) { }', CheckError,
+     'line 2, col 6: equal compares same-kind objects, got line and point'),
+    ('if on(g, A) { }', CheckError,
+     "line 2, col 6: on needs point, but 'g' is a line"),
+    ('if on(A, B) { }', CheckError,
+     "line 2, col 6: on needs line or circle, but 'B' is a point"),
+    ('if intersects(A, g) { }', CheckError,
+     "line 2, col 6: intersects needs line or circle, but 'A' is a point"),
+    ('if intersects(g, A) { }', CheckError,
+     "line 2, col 6: intersects needs line or circle, but 'A' is a point"),
+    ('if between(A, B, g) { }', CheckError,
+     "line 2, col 6: between needs point, but 'g' is a line"),
+    ('if dist_le(A, B, A, g) { }', CheckError,
+     "line 2, col 6: dist_le needs point, but 'g' is a line"),
+    ('if dist_eq(g, B, A, B) { }', CheckError,
+     "line 2, col 6: dist_eq needs point, but 'g' is a line"),
+    ('if ccw(A, g, B) { }', CheckError,
+     "line 2, col 6: ccw needs point, but 'g' is a line"),
+    ('if side(A) { }', ParseError,
+     "unknown test 'side' at line 2, col 6"),
+    ('if ccw(A, B, Z) { }', CheckError,
+     "line 2, col 6: unknown name 'Z'"),
+    ('if equal(Z, A) { }', CheckError,
+     "line 2, col 6: unknown name 'Z'"),
+    ('if on(A, Z) { }', CheckError,
+     "line 2, col 6: unknown name 'Z'"),
+    ('while not between(A, Z, B) budget 1 { }', CheckError,
+     "line 2, col 9: unknown name 'Z'"),
+    ('let P = choose(A, B | on(P, A));', CheckError,
+     "line 2, col 25: on needs line or circle, but 'A' is a point"),
+    ('let P = choose(A, B | dist_le(P, A, B));', CheckError,
+     'line 2, col 25: dist_le takes 4 arguments, got 3'),
 ]
 
 

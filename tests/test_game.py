@@ -340,7 +340,7 @@ def test_sampling_bob_is_deterministic_and_conforming():
     answers = []
     for _ in range(2):
         bob = sampling_bob(5)
-        pos = Position([], [k, axis])
+        pos = Position([k, axis])
         p = bob.answer(cell, pos)
         assert cell.contains(p)
         answers.append(p)
@@ -362,7 +362,7 @@ def test_certificate_bob_answers_as_the_sampling_scan():
     for seed in range(4):
         bobs = (CertificateBob(rational_certificate(), seed),
                 SamplingBob(seed))
-        positions = [Position([point(tw, 0, 0)], [k, axis]) for _ in bobs]
+        positions = [Position([point(tw, 0, 0), k, axis]) for _ in bobs]
         for region in regions * 2:
             p, q = (bob.answer(region, pos)
                     for bob, pos in zip(bobs, positions))

@@ -1,5 +1,6 @@
 """The only lint tier-1 runs: no engine module imports a name it never
-uses, and no module-level name of an engine module is dead.  An
+uses, no module-level name of an engine module is dead, and the lower
+layers import nothing from the layers above them.  An
 imported name counts as used when any `ast.Name` in the module reads
 it, or when the module's `__all__` lists it.  A private function, class
 or assignment counts as used when its own module reads it, or when any
@@ -100,4 +101,39 @@ def test_no_public_module_name_is_dead():
              for path in sorted((SRC / "euclid").rglob("*.py"))
              for line, name in _module_defs(ast.parse(path.read_text()))
              if not name.startswith("_") and name not in used]
+    assert found == []
+
+
+# The layers under the construction language and the game, and the
+# modules built on them that the lower ones must not import.
+LOWER = ("field", "geom", "regions", "closure", "replay")
+UPPER = frozenset({"dsl", "game", "net", "corpus", "cli"})
+
+
+def _euclid_imports(tree: ast.Module):
+    """The top-level `euclid` modules a module of the package imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = node.module.split(".") if node.module else []
+            if node.level == 0:
+                if parts[:1] != ["euclid"]:
+                    continue
+                parts = parts[1:]
+            if parts:
+                yield parts[0]
+            else:                       # from . import x
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "euclid" and len(parts) > 1:
+                    yield parts[1]
+
+
+def test_lower_layers_import_no_upper_layer():
+    found = [f"{name}.py imports {module}"
+             for name in LOWER
+             for module in _euclid_imports(
+                 ast.parse((SRC / "euclid" / f"{name}.py").read_text()))
+             if module in UPPER]
     assert found == []

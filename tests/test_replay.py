@@ -1,10 +1,13 @@
 from fractions import Fraction
+from itertools import product
+
+from hypothesis import given, settings, strategies as st
 
 from euclid import corpus
 from euclid.dsl.interp import SamplingOracle, run
 from euclid.dsl.parser import parse_program
 from euclid.field import Tower
-from euclid.geom import Circle, Line, ProjectiveMap, point
+from euclid.geom import TESTS, Circle, Line, Point, ProjectiveMap, point
 from euclid.replay import GAP_MAP, transport
 
 
@@ -35,6 +38,45 @@ def test_apply_projective_on_lines_preserves_incidence():
     image = GAP_MAP.apply_line(l)
     assert image.contains(GAP_MAP.apply_point(p))
     assert image.contains(GAP_MAP.apply_point(q))
+
+
+def _gap_image(obj):
+    if isinstance(obj, Point):
+        return GAP_MAP.apply_point(obj)
+    return GAP_MAP.apply_line(obj)
+
+
+# Small rationals; x = -5/3 is left out, the line GAP_MAP sends to
+# infinity, so every point and every line through two of them stays
+# finite.
+_COORD = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+_XY = st.tuples(_COORD.filter(lambda x: x != Fraction(-5, 3)), _COORD)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.lists(_XY, min_size=3, max_size=3))
+def test_projective_tests_answer_alike_after_gap_map(xys):
+    tw = Tower()
+    objs = [point(tw, x, y) for x, y in xys]
+    objs += {Line.through(p, q) for p, q in product(objs, objs) if p != q}
+    for kind, test in TESTS.items():
+        if not test.projective:
+            continue
+        for args in product(objs, repeat=len(test.operands)):
+            if all(isinstance(a, classes)
+                   for a, classes in zip(args, test.operands)):
+                assert test.decide(*args) \
+                    == test.decide(*map(_gap_image, args)), (kind, args)
+
+
+def test_gap_map_flips_ccw_so_it_is_not_projective():
+    assert {kind for kind, test in TESTS.items() if test.projective} \
+        == {"equal", "on"}
+    tw = Tower()
+    # (-2, 0) lies beyond x = -5/3, so the image triangle turns right
+    args = (point(tw, -2, 0), point(tw, 0, 0), point(tw, 0, 1))
+    ccw = TESTS["ccw"].decide
+    assert ccw(*args) and not ccw(*map(_gap_image, args))
 
 
 EVERY_TEST = """
