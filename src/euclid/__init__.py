@@ -11,7 +11,8 @@ Subpackages and modules:
 - `closure`: saturation of a configuration under construction steps and
   derivability queries.
 - `regions`: open disks and sign-cells with exact membership and
-  containment tests.
+  containment tests, and a point sampler that tests its grid draws on
+  integer sign bounds before it tests them exactly.
 - `dsl`: the construction-program language (parser, checker,
   interpreter), whose tests are those of `geom.TESTS`.
 - `corpus`: a verified library of classical construction programs.

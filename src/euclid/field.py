@@ -29,14 +29,16 @@ from certified integer enclosures L <= x * 2**p <= H: every radicand is
 positive, so each basis monomial is a positive real bounded by rounded
 integer square roots of its radicands' own enclosures.  The precision p
 doubles from 64 until the enclosure excludes 0, which it must do, since
-a nonempty term map in a canonical tower is a nonzero real.  `approx`
-reads its dyadic intervals from the same enclosures.
+a nonempty term map in a canonical tower is a nonzero real.  `enclose`
+gives an element's enclosure at one precision, and `approx` reads its
+dyadic intervals from it.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from fractions import Fraction
 
 from .errors import (
@@ -53,6 +55,8 @@ DEFAULT_HEIGHT_CAP = 6          # radicands a Tower() may adjoin by default
 SQRT_SEARCH_BUDGET = 50_000     # steps one square-root search may take
 MAX_COEFF_BITS = 1 << 16        # bits a numerator or denominator may reach
 _START_PREC = 64
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
 
 
 def _norm(num: Num, den: int) -> Terms:
@@ -156,6 +160,18 @@ def _half(u: Terms) -> Terms:
 def _scale(u: Terms, n: int) -> Terms:
     """n*u for an integer n."""
     return _norm({k: n * c for k, c in u[0].items()}, u[1])
+
+
+def _hash_ratio(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for n/d in lowest terms with d > 1, by the
+    rule of Python's numeric hash, without making the Fraction."""
+    try:
+        h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
+    except ValueError:          # d is a multiple of the modulus
+        h = _HASH_INF
+    if n < 0:
+        h = -h
+    return -2 if h == -1 else h
 
 
 class Tower:
@@ -605,9 +621,9 @@ class Constructible:
         h = self._hash
         if h is None:
             num, d = self._num, self._den
-            if self.is_rational():
+            if not any(num):            # only the rational key 0
                 n = num.get(0, 0)
-                h = hash(n) if d == 1 else hash(Fraction(n, d))
+                h = hash(n) if d == 1 else _hash_ratio(n, d)
             else:
                 h = hash((d, frozenset(num.items())))
             self._hash = h
@@ -622,6 +638,11 @@ class Constructible:
         cap runs out before the root is found or adjoined."""
         return self.tower._sqrt(self)
 
+    def enclose(self, p: int) -> tuple[int, int]:
+        """Integers lo <= hi with lo <= self * 2**p <= hi."""
+        lo, hi = self.tower._enclose(self._num, p)
+        return lo // self._den, -(-hi // self._den)
+
     def approx(self, k: int) -> tuple[Fraction, Fraction]:
         """Dyadic interval of width <= 2**-k containing the exact value.
 
@@ -634,9 +655,7 @@ class Constructible:
             while p < s + 16:
                 p *= 2
             while True:
-                lo, hi = self.tower._enclose(self._num, p)
-                lo //= self._den
-                hi = -(-hi // self._den)
+                lo, hi = self.enclose(p)
                 if iv is not None:
                     # keep the intervals nested across calls
                     lo = max(lo, iv[1] << (p - iv[0]))

@@ -8,7 +8,10 @@ rational disk fits inside a region, again exactly: against a circle,
 inside or outside, the fit is the one test sqrt(a) + sqrt(b) < sqrt(c)
 of squared lengths, decided by squaring the roots away.
 `sample_point` hunts for a rational member on dyadic grids of
-increasing resolution.
+increasing resolution.  It tests each grid draw on integers first:
+integer enclosures of the curves' data bound the sign of each
+condition at the draw, and a draw a bound rejects never becomes a
+`Point`.  Draws the bounds leave standing are tested exactly.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateInputError
+from .field import _START_PREC
 from .geom import Circle, Line, Point, dist2, point
 
 INSIDE = -1
@@ -126,6 +130,45 @@ def _hint(region: Region) -> tuple[Fraction, Fraction]:
     return Fraction(0), Fraction(0)
 
 
+def _enclosed(curve, p: int) -> tuple:
+    """Integer enclosures of a curve's data, scaled so that `_sign_bound`
+    reads its value at a draw times 2**(2p): a line's a and b times
+    2**p and c times 2**(2p), or a circle's or disk's center
+    coordinates times 2**p and squared radius times 2**(2p).  The first
+    item says whether the curve is a line."""
+    if isinstance(curve, Line):
+        return (True, curve.a.enclose(p), curve.b.enclose(p),
+                curve.c.enclose(2 * p))
+    o = curve.center
+    return False, o.x.enclose(p), o.y.enclose(p), curve.r2.enclose(2 * p)
+
+
+def _sign_bound(enc: tuple, X: int, Y: int) -> int:
+    """The sign of a curve's value at (X / 2**p, Y / 2**p) when integer
+    interval arithmetic on `enc = _enclosed(curve, p)` settles it, else
+    0.  The value is a*x + b*y + c for a line and
+    (x - ox)**2 + (y - oy)**2 - r2 for a circle or disk."""
+    is_line, (ul, uh), (vl, vh), (wl, wh) = enc
+    if is_line:
+        lo, hi = wl, wh
+        for t, cl, ch in ((X, ul, uh), (Y, vl, vh)):
+            if t >= 0:
+                lo, hi = lo + cl * t, hi + ch * t
+            else:
+                lo, hi = lo + ch * t, hi + cl * t
+    else:
+        lo, hi = -wh, -wl
+        for t, cl, ch in ((X, ul, uh), (Y, vl, vh)):
+            dl, dh = t - ch, t - cl         # bounds on (t - center) * 2**p
+            if dl >= 0:
+                lo, hi = lo + dl * dl, hi + dh * dh
+            elif dh <= 0:
+                lo, hi = lo + dh * dh, hi + dl * dl
+            else:
+                hi += max(dl * dl, dh * dh)
+    return 1 if lo > 0 else -1 if hi < 0 else 0
+
+
 def sample_point(region: Region, rng: random.Random, state):
     """A rational point of the region in `state.tower` that is none of
     `state.points` and on none of `state.curves`, or None.
@@ -135,23 +178,41 @@ def sample_point(region: Region, rng: random.Random, state):
     an anchor derived from the region, so any open nonempty region is
     found once the grid is fine and wide enough.  The search is
     deterministic for a given rng state.
+
+    Every draw is (X / 2**p, Y / 2**p) for integers X and Y.  Integer
+    enclosures of the curves' data, read once per call, bound each
+    condition's value there: a draw a bound puts on the wrong side of a
+    condition is skipped without making a `Point`, and an avoided curve
+    whose bound excludes 0 is off the draw.  Every other check is exact,
+    on the `Point` of each draw the bounds leave standing.
     """
     hx, hy = _hint(region)
     tower, avoid_points, avoid_curves = state.tower, state.points, state.curves
+    # the anchor is dyadic, so X and Y are exact
+    p = max(_START_PREC, MAX_STAGE + 1,
+            hx.denominator.bit_length(), hy.denominator.bit_length())
+    one = 1 << p
+    ax = hx.numerator * one // hx.denominator
+    ay = hy.numerator * one // hy.denominator
+    conds = ([(_enclosed(region, p), INSIDE)] if isinstance(region, Disk)
+             else [(_enclosed(c, p), s) for c, s in region.conds])
+    avoid = [(_enclosed(c, p), c) for c in avoid_curves]
     for stage in range(MAX_STAGE):
         k = stage + 2
         span = 1 << (stage // 2)
-        denom = 1 << k
-        cells = 2 * span * denom
+        cells = 2 * span << k
         for _ in range(TRIES_PER_STAGE):
-            qx = hx + Fraction(rng.randint(-cells, cells), denom)
-            qy = hy + Fraction(rng.randint(-cells, cells), denom)
-            p = point(tower, qx, qy)
-            if not region.contains(p):
+            X = ax + (rng.randint(-cells, cells) << (p - k))
+            Y = ay + (rng.randint(-cells, cells) << (p - k))
+            if any(_sign_bound(enc, X, Y) == -s for enc, s in conds):
                 continue
-            if p in avoid_points:
+            near = [c for enc, c in avoid if not _sign_bound(enc, X, Y)]
+            q = point(tower, Fraction(X, one), Fraction(Y, one))
+            if not region.contains(q):
                 continue
-            if any(c.contains(p) for c in avoid_curves):
+            if q in avoid_points:
                 continue
-            return p
+            if any(c.contains(q) for c in near):
+                continue
+            return q
     return None

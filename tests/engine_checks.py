@@ -9,6 +9,9 @@ fine the straightedge-derivable grid of `net._Frame` gets, and
 the reference for the incidence shortcuts of `closure._Run.round`.
 The `ref_*` line kernels run only the general term-pair path, the
 reference for the rational lane of `geom.Line` and `geom._line_line`.
+`ref_sample_point` is the grid scan that makes a `Point` of every draw
+and tests it exactly, the reference for the integer pre-test of
+`regions.sample_point`.
 """
 
 import math
@@ -17,8 +20,9 @@ from fractions import Fraction
 from euclid.closure import _Run
 from euclid.errors import DegenerateInputError
 from euclid.field import _add_t, _indices, _neg_t, _split, _sub_t, _top
-from euclid.geom import Circle, Line, Point, dist2, intersect
+from euclid.geom import Circle, Line, Point, dist2, intersect, point
 from euclid.net import _Frame, _require_scaffold
+from euclid.regions import MAX_STAGE, TRIES_PER_STAGE, _hint
 
 
 def sign_t(tw, t) -> int:
@@ -204,3 +208,27 @@ def ref_value(line, p):
     if line.a:
         v = _add_t(p.x._terms, v)
     return _add_t(v, line.c._terms)
+
+
+def ref_sample_point(region, rng, state):
+    """`regions.sample_point` with every draw made a `Point` and tested
+    exactly."""
+    hx, hy = _hint(region)
+    tower, avoid_points, avoid_curves = state.tower, state.points, state.curves
+    for stage in range(MAX_STAGE):
+        k = stage + 2
+        span = 1 << (stage // 2)
+        denom = 1 << k
+        cells = 2 * span * denom
+        for _ in range(TRIES_PER_STAGE):
+            qx = hx + Fraction(rng.randint(-cells, cells), denom)
+            qy = hy + Fraction(rng.randint(-cells, cells), denom)
+            p = point(tower, qx, qy)
+            if not region.contains(p):
+                continue
+            if p in avoid_points:
+                continue
+            if any(c.contains(p) for c in avoid_curves):
+                continue
+            return p
+    return None

@@ -1,10 +1,11 @@
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from euclid.errors import (
     NegativeRadicandError,
@@ -297,6 +298,27 @@ def test_rational_element_hashes_as_the_number_it_equals():
     for q in (Fraction(-7, 3), Fraction(5, 2 ** 61 - 1),
               Fraction(-1, 2 ** 61 - 1), Fraction(3 ** 50, 2 ** 70 + 1), -1):
         assert hash(Tower().from_rational(q)) == hash(q)
+
+
+_MODULUS = sys.hash_info.modulus
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(n=st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                   st.integers(-(2 ** 200), 2 ** 200)),
+       d=st.one_of(st.integers(1, 10 ** 6), st.integers(1, 2 ** 200),
+                   st.integers(1, 8).map(lambda k: k * _MODULUS)))
+@example(n=1, d=_MODULUS)
+@example(n=-(2 ** 61 + 5), d=3 * _MODULUS)
+@example(n=-(_MODULUS + 2), d=2)      # hashes as -1, so as -2
+@example(n=2 ** 64 + 1, d=_MODULUS + 1)
+def test_rational_hash_equals_the_fraction_hash(n, d):
+    # the hash is computed from the numerator and denominator without a
+    # Fraction; it must give every value Fraction's hash gives, including
+    # the inf case of a denominator the modulus divides and the -1 -> -2
+    # rule, which hash() would apply by itself, so __hash__ is called too
+    x = Tower().from_rational(Fraction(n, d))
+    assert x.__hash__() == hash(x) == hash(x.as_rational())
 
 
 def _hash_formula(x):

@@ -13,6 +13,10 @@ import sys
 from pathlib import Path
 
 from euclid import field, geom
+from euclid.dsl.interp import SamplingOracle
+from euclid.field import Tower
+from euclid.geom import Position, point
+from euclid.regions import Disk
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -31,6 +35,24 @@ def test_tracer_installs_and_restores_every_hook():
         t.uninstall()
     assert (geom.intersect, geom.Line.__dict__["contains"],
             field.Constructible.__dict__["__mul__"]) == originals
+
+
+def test_tracer_counts_a_sampled_answer():
+    # a rename or re-binding of `regions.sample_point` would otherwise
+    # leave `regions.sample.calls` silently at 0
+    tw = Tower()
+    center = point(tw, 0, 0)
+    t = tracer.Tracer()
+    try:
+        t.install()
+        t.on = True
+        answer = SamplingOracle(0).answer(Disk(center, tw.one),
+                                          Position([center]))
+    finally:
+        t.on = False
+        t.uninstall()
+    assert answer is not None
+    assert t.counts["regions.sample"] == 1
 
 
 def test_benchmark_workloads_import():

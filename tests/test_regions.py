@@ -1,4 +1,5 @@
-"""`contains_closed_disk` against the two circle formulas it replaced.
+"""`contains_closed_disk` against the two circle formulas it replaced,
+and `sample_point` against the scan it replaced.
 
 A closed disk of squared radius rho2 around q fits inside a circle of
 squared radius r2 around o when sqrt(d2) + sqrt(rho2) < sqrt(r2), with
@@ -6,16 +7,25 @@ d2 = |q - o|^2, and outside it when sqrt(r2) + sqrt(rho2) < sqrt(d2).
 `regions._sqrt_sum_below` decides both.  The `_ref_*` functions below
 are the earlier separate inside/outside formulas and the earlier
 `contains_closed_disk` built on them; every answer must agree exactly.
+`sample_point` skips grid draws on integer sign bounds; the bounds must
+never contradict the exact sign, and the answers and the rng state must
+equal those of `engine_checks.ref_sample_point`, which tests every draw
+exactly.
 """
 
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 from hypothesis import assume, example, given, settings, strategies as st
 
+from euclid import corpus, regions
+from euclid.dsl.interp import SamplingOracle, run
 from euclid.field import Tower
-from euclid.geom import Circle, Line, Point, dist2
-from euclid.regions import INSIDE, Cell, Disk, _sqrt_sum_below, \
-    contains_closed_disk
+from euclid.geom import Circle, Line, Point, dist2, point
+from euclid.regions import INSIDE, Cell, Disk, _enclosed, _hint, \
+    _sign_bound, _sqrt_sum_below, contains_closed_disk, sample_point
+from engine_checks import ref_sample_point
 
 
 def _ref_closed_disk_inside_circle(d2, r2, rho2) -> bool:
@@ -166,3 +176,136 @@ def test_contains_closed_disk_agrees_with_reference(spec, q, rho2):
     centre, r2 = _pt(tw, q), _nonneg(tw, rho2)
     assert contains_closed_disk(region, centre, r2) == \
         _ref_contains_closed_disk(region, centre, r2)
+
+
+# -- the integer sign bound of sample_point -----------------------------------
+
+DYADIC = st.tuples(st.integers(-200, 200), st.integers(-200, 200),
+                   st.integers(0, 13))
+
+
+def _dyadic(xy, p):
+    """(X, Y) with the point (X / 2**p, Y / 2**p), from i, j and e: the
+    point (i / 2**e, j / 2**e), or (i / 2**p, j / 2**p) when e > p."""
+    i, j, e = xy
+    e = min(e, p)
+    return i << (p - e), j << (p - e)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(kind=st.sampled_from(("line", "circle")), u=POINT, v=POINT,
+       d=DYADIC, mode=st.sampled_from(("free", "on", "near")),
+       p=st.sampled_from((2, 13, 64, 100)))
+@example(kind="line", u=(ZERO, ZERO), v=(_ONE, _ONE), d=(3, 3, 2),
+         mode="free", p=64)
+@example(kind="circle", u=(ZERO, ZERO), v=(_ONE, ZERO), d=(-4, 0, 2),
+         mode="free", p=64)
+@example(kind="line", u=((Fraction(1), Fraction(1)), ZERO),
+         v=(ZERO, _ONE), d=(0, 0, 0), mode="near", p=64)
+@example(kind="circle", d=(28, 0, 2), mode="free", p=2,
+         u=((Fraction(0), Fraction(5)), (Fraction(1, 4), Fraction(0))),
+         v=((Fraction(0), Fraction(5)), ZERO))
+def test_sign_bound_is_zero_or_the_exact_sign(kind, u, v, d, mode, p):
+    """A dyadic point drawn free, on the curve, or the floor of an
+    (often irrational) point of the curve at p bits, so within 2**-p of
+    it; the curve is the line through u and v or the circle centered at
+    v through u, with the dyadic point in place of u for "on".  The last
+    example puts x = 7 inside the enclosure [25, 30] / 4 of the center's
+    5*sqrt(2), where the square of x - 5*sqrt(2) is bounded below by 0
+    alone."""
+    tw = Tower()
+    X, Y = _dyadic(d, p)
+    if mode == "near":
+        a = _pt(tw, u)
+        X, Y = a.x.enclose(p)[0], a.y.enclose(p)[0]
+    q = point(tw, Fraction(X, 1 << p), Fraction(Y, 1 << p))
+    a = q if mode == "on" else _pt(tw, u)
+    b = _pt(tw, v)
+    assume(a != b)
+    if kind == "line":
+        curves = [Line.through(a, b)]
+    else:
+        curves = [Circle.centered(b, a), Disk(b, dist2(a, b))]
+    exact = curves[0].side(q)
+    if mode == "on":
+        assert exact == 0
+    for curve in curves:        # a disk is read as its circle
+        assert _sign_bound(_enclosed(curve, p), X, Y) in (0, exact)
+    if kind == "circle":
+        assert curves[1].contains(q) == (exact < 0)
+
+
+# -- sample_point against the scan that tests every draw exactly --------------
+
+GRID = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+STEP = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+def _grid_point(tw, hint, ij, k=2):
+    """The point hint + (i, j) / 2**k of the first stages' grids."""
+    return point(tw, hint[0] + Fraction(ij[0], 1 << k),
+                 hint[1] + Fraction(ij[1], 1 << k))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(spec=REGION, holes=st.integers(-1, 4),
+       lines=st.lists(st.tuples(GRID, STEP), max_size=3),
+       rings=st.lists(st.tuples(st.one_of(GRID, POINT), GRID), max_size=2),
+       seed=st.integers(0, 2 ** 32))
+@example(spec=("disk", (ZERO, ZERO), (Fraction(4), Fraction(0))),
+         holes=1,
+         lines=[((0, 0), (1, 0)), ((0, 0), (1, -1))],
+         rings=[((0, 0), (3, 4)), (((1, 1), (0, 1)), (1, 1))],
+         seed=0)
+@example(spec=[(("line", (ZERO, ZERO), (_ONE, ZERO)), 1),
+               (("line", (ZERO, ZERO), (_ONE, ZERO)), -1)],
+         holes=-1, lines=[], rings=[], seed=1)
+def test_sample_point_agrees_with_reference(spec, holes, lines, rings, seed):
+    """Avoided points fill a square of the first stage's grid around the
+    anchor (none for holes = -1).  Avoided lines run through a grid point
+    in a short grid step's direction.  Avoided circles are centered on a
+    grid point or on a point with sqrt(2) data and run through a grid
+    point.  So draws often hit them.  The second example is the empty
+    cell y > 0 > y, which exhausts the scan."""
+    tw = Tower()
+    region = _region(tw, spec)
+    hint = _hint(region)
+    curves = []
+    for g, (di, dj) in lines:
+        assume((di, dj) != (0, 0))
+        curves.append(Line.through(
+            _grid_point(tw, hint, g),
+            _grid_point(tw, hint, (g[0] + di, g[1] + dj))))
+    for c, g in rings:
+        center = _grid_point(tw, hint, c) if isinstance(c[0], int) \
+            else _pt(tw, c)
+        on = _grid_point(tw, hint, g)
+        assume(center != on)
+        curves.append(Circle.centered(center, on))
+    points = [_grid_point(tw, hint, (i, j)) for i in range(-holes, holes + 1)
+              for j in range(-holes, holes + 1)]
+    state = SimpleNamespace(tower=tw, points=points, curves=curves)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    got = sample_point(region, rng, state)
+    want = ref_sample_point(region, ref_rng, state)
+    assert got == want
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def test_circle_center_sampling_point_count(monkeypatch):
+    # the count is exact and box-independent: 148 Points while every
+    # grid draw became a Point and was tested exactly, 8 since integer
+    # sign bounds skip the draws that are outside the region
+    made = [0]
+    make = regions.point
+
+    def counted(*args):
+        made[0] += 1
+        return make(*args)
+
+    monkeypatch.setattr(regions, "point", counted)
+    e = corpus.entry("circle_center")
+    inputs = e.canonical_inputs(Tower())
+    result = run(e.program(), inputs, oracle=SamplingOracle(0))
+    assert e.postcondition(inputs, result.outputs) is None
+    assert made[0] <= 8
