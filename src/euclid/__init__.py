@@ -14,7 +14,8 @@ Subpackages and modules:
   containment tests, and a point sampler that tests its grid draws on
   integer sign bounds before it tests them exactly.
 - `dsl`: the construction-program language (parser, checker,
-  interpreter), whose tests are those of `geom.TESTS`.
+  interpreter), whose tests are those of `geom.TESTS`; its tokenizer
+  and grammar of exact literals also read scenes and oracle scripts.
 - `corpus`: a verified library of classical construction programs.
 - `game`: the adversarial construction game over a `geom.Position`,
   with strategies, sampling and certificate adversaries, and
@@ -26,7 +27,8 @@ Subpackages and modules:
   for non-constructibility.
 - `replay`: transport of recorded traces under projective maps and the
   report of which facts survive, each test re-decided by `geom.TESTS`.
-- `configfile`: scene files declaring named exact input objects.
+- `configfile`: scene files declaring named exact input objects, with
+  coordinates such as `sqrt(3)` read by the `dsl` reader.
 - `render`: deterministic SVG figures from run, closure, densify and
   game traces.
 - `cli`: the `euclid` command binding everything together.

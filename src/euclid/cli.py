@@ -26,7 +26,7 @@ from . import algebra, corpus
 from .closure import Budget, closure, derivable
 from .configfile import Scene, load_scene
 from .dsl.interp import ReplayOracle, SamplingOracle, run
-from .dsl.parser import parse_program
+from .dsl.parser import parse_literal, parse_program
 from .errors import (CheckError, DegenerateInputError, ParseError, RangeError,
                      ReduciblePolynomialError, ResourceLimitError, RunAbort,
                      ScopeError)
@@ -127,8 +127,9 @@ def _parse_oracle(spec: str, tower):
         for chunk in body.split(";") if body else ():
             try:
                 sx, sy = chunk.split(",")
-                answers.append(point(tower, Fraction(sx), Fraction(sy)))
-            except (ValueError, ZeroDivisionError):
+                answers.append(point(tower, parse_literal(sx, tower),
+                                     parse_literal(sy, tower)))
+            except (ValueError, ParseError):
                 raise UsageError(
                     f"bad oracle script entry {chunk!r}") from None
         if not answers:

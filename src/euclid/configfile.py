@@ -7,34 +7,27 @@ A scene is plain text with one declaration per line:
     circle k = center (0, 0) r2 1
     target point M = (1, 0)
 
-Coordinates and radii are rational literals (``2``, ``-1/3``, ``0.25``).
-Names are unique across all declarations, and at most one line declares
-the target.  The target is the distinguished answer object of the
-scene: it resolves by name but is kept out of the given points and
-curves, so derivability and game questions about it are not answered
-trivially.  Blank lines and ``#`` comments are ignored.
+Coordinates and squared radii are exact literals: integers and
+decimals (``2``, ``0.25``) under ``+ - * /``, unary minus, parentheses
+and ``sqrt(...)``, as in ``point A = (0, sqrt(3))``.  A literal stays
+rational until a ``sqrt`` has no rational root; only then does a root
+join the scene's tower.  `dsl.parser` reads scenes with the tokenizer
+that reads programs.  A declared name may be any word, and names are
+unique across all declarations.  At most one line declares the target,
+the distinguished answer object of the scene: it resolves by name but
+is kept out of the given points and curves, so derivability and game
+questions about it are not answered trivially.  Blank lines and ``#``
+comments are ignored.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
-from .errors import DegenerateInputError, ParseError
+from .dsl.parser import parse_declarations
+from .errors import ParseError
 from .field import Tower
-from .geom import Circle, Line, Point, point
-
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_NUM = r"-?[0-9][0-9./]*"
-_PAIR = rf"\(\s*({_NUM})\s*,\s*({_NUM})\s*\)"
-
-_POINT_RE = re.compile(rf"point\s+({_NAME})\s*=\s*{_PAIR}\s*$")
-_LINE_RE = re.compile(
-    rf"line\s+({_NAME})\s*=\s*through\s*{_PAIR}\s*{_PAIR}\s*$")
-_CIRCLE_RE = re.compile(
-    rf"circle\s+({_NAME})\s*=\s*center\s*{_PAIR}\s+r2\s+({_NUM})\s*$")
-_TARGET_RE = re.compile(rf"target\s+point\s+({_NAME})\s*=\s*{_PAIR}\s*$")
+from .geom import Point
 
 
 @dataclass
@@ -86,64 +79,19 @@ class Scene:
         return list(self.objects.values())
 
 
-def _rational(text: str, lineno: int) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational literal {text!r}", line=lineno) \
-            from None
-
-
 def parse_scene(text: str, tower: Tower | None = None) -> Scene:
     """Parse scene text into exact objects in one tower session."""
     tower = tower or Tower()
     scene = Scene(tower)
-
-    def num(raw: str, lineno: int):
-        return tower.from_rational(_rational(raw, lineno))
-
-    def pt(rx: str, ry: str, lineno: int) -> Point:
-        return point(tower, _rational(rx, lineno), _rational(ry, lineno))
-
-    def declare(name: str, obj, lineno: int):
+    for line, head, name, obj in parse_declarations(text, tower):
+        if head == "target" and scene.target is not None:
+            raise ParseError("second target declaration", line=line)
         if name in scene:
-            raise ParseError(f"duplicate name {name!r}", line=lineno)
-        scene.objects[name] = obj
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if m := _POINT_RE.fullmatch(line):
-            declare(m[1], pt(m[2], m[3], lineno), lineno)
-        elif m := _LINE_RE.fullmatch(line):
-            try:
-                obj = Line.through(pt(m[2], m[3], lineno),
-                                   pt(m[4], m[5], lineno))
-            except DegenerateInputError as exc:
-                raise ParseError(f"bad line {m[1]!r}: {exc}",
-                                 line=lineno) from None
-            declare(m[1], obj, lineno)
-        elif m := _CIRCLE_RE.fullmatch(line):
-            try:
-                obj = Circle(pt(m[2], m[3], lineno), num(m[4], lineno))
-            except DegenerateInputError as exc:
-                raise ParseError(f"bad circle {m[1]!r}: {exc}",
-                                 line=lineno) from None
-            declare(m[1], obj, lineno)
-        elif m := _TARGET_RE.fullmatch(line):
-            if scene.target is not None:
-                raise ParseError("second target declaration", line=lineno)
-            if m[1] in scene.objects:
-                raise ParseError(f"duplicate name {m[1]!r}", line=lineno)
-            scene.target = m[1]
-            scene.target_point = pt(m[2], m[3], lineno)
+            raise ParseError(f"duplicate name {name!r}", line=line)
+        if head == "target":
+            scene.target, scene.target_point = name, obj
         else:
-            keyword = line.split(None, 1)[0]
-            if keyword in ("point", "line", "circle", "target"):
-                raise ParseError(f"bad {keyword} declaration: {line!r}",
-                                 line=lineno)
-            raise ParseError(f"unknown declaration: {line!r}", line=lineno)
+            scene.objects[name] = obj
     return scene
 
 

@@ -15,10 +15,28 @@ The surface syntax binds each geometric step to a name:
 Intersection bindings name one or two points in lexicographic order of
 the intersection.  `choose(N1, ..., Nk | test)` picks the unique
 candidate passing the test.  `arbitrary in_disk(P, q)` and `arbitrary
-in_cell(cond, ...)` request oracle points; disk literals are squared
-radii, cell conditions are inside(c)/outside(c) for circles and
-pos(l)/neg(l) for line sides.  Tests may be prefixed with `not`.
-`#` starts a comment; whitespace is insignificant.
+in_cell(cond, ...)` request oracle points; a disk's q is its squared
+radius, a positive rational literal; cell conditions are
+inside(c)/outside(c) for circles and pos(l)/neg(l) for line sides.
+Tests may be prefixed with `not`.  `#` starts a comment; whitespace is
+insignificant, except that a scene declaration ends with its line.
+
+One tokenizer and one grammar of exact literals serve programs, scenes
+(`parse_declarations`, behind `configfile`) and `parse_literal`:
+
+    literal := product (("+" | "-") product)*
+    product := factor (("*" | "/") factor)*
+    factor  := "-" factor | INT | DEC | "(" literal ")"
+             | "sqrt" "(" literal ")"
+
+Rational parts fold in `Fraction`; only a `sqrt` makes an element of
+the reader's tower, so program literals, read outside any tower, are
+rational.  A scene holds at most one declaration per line, NAME being
+any word:
+
+    point NAME = pair            line NAME = through pair pair
+    target point NAME = pair     circle NAME = center pair r2 literal
+    pair := "(" literal "," literal ")"
 
 Parsing reports syntax problems as ParseError with positions; the
 static checker rejects unknown names, arity and kind mismatches,
@@ -30,10 +48,13 @@ tests from `geom.TESTS`, their names and their operands' classes.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .. import geom
-from ..errors import CheckError, ParseError
+from ..errors import (CheckError, DegenerateInputError, NegativeRadicandError,
+                      ParseError)
+from ..field import Constructible, Tower
 from .ast import (
     CELL_CONDS,
     CIRCLE,
@@ -60,7 +81,11 @@ KEYWORDS = frozenset({
     "point",
 } | set(geom.TESTS))
 
-PUNCT = "(){}[],;|=/"
+# the blanks and comment before one token, then the token or the end
+_TOKEN = re.compile(r"[ \t\r]*(?:#.*)?(?:(?P<nl>\n)|(?P<word>[^\W\d]\w*)"
+                    r"|(?P<num>[0-9]+(?:\.[0-9]+)?)"
+                    r"|(?P<punct>[-+*/(){}\[\],;|=])|(?P<bad>.)|(?P<end>\Z))")
+
 
 class _Token:
     __slots__ = ("kind", "text", "line", "col")
@@ -72,59 +97,38 @@ class _Token:
         self.col = col
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str, line: int = 1) -> list[_Token]:
+    """The tokens of `text`, whose first line is numbered `line`."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    start = 0                   # offset of the current line
+    for m in _TOKEN.finditer(text):
+        group = m.lastgroup
+        if group == "nl":
             line += 1
-            col = 1
-            i += 1
+            start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
+        if group == "end":
+            break
+        word = m[group]
+        col = m.start(group) - start + 1
+        if group == "word":
             kind = word if word in KEYWORDS else "NAME"
-            tokens.append(_Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in PUNCT:
-            tokens.append(_Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+        elif group == "num":
+            kind = "DEC" if "." in word else "INT"
+        elif group == "punct":
+            kind = word
+        else:
+            raise ParseError(f"unexpected character {word!r}", line, col)
+        tokens.append(_Token(kind, word, line, col))
+    tokens.append(_Token("EOF", "", line, len(text) - start + 1))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[_Token], tower: Tower | None = None):
         self.tokens = tokens
         self.i = 0
+        self.tower = tower          # where `sqrt` roots go; None in programs
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -143,6 +147,11 @@ class _Parser:
 
     def at(self, kind: str) -> bool:
         return self.peek().kind == kind
+
+    def end(self):
+        tok = self.peek()
+        if tok.kind != "EOF":
+            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
 
     def pos(self) -> Pos:
         tok = self.peek()
@@ -182,9 +191,7 @@ class _Parser:
         returns = self.namelist()
         self.expect(";")
         self.expect("}")
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        self.end()
         return Program(prog_name, tuple(params), tuple(body), returns)
 
     def block(self) -> tuple:
@@ -300,16 +307,8 @@ class _Parser:
         return (tok.kind, name)
 
     def posrational(self) -> Fraction:
-        tok = self.expect("INT")
-        num = int(tok.text)
-        den = 1
-        if self.at("/"):
-            self.next()
-            den_tok = self.expect("INT")
-            den = int(den_tok.text)
-            if den == 0:
-                raise ParseError("zero denominator", den_tok.line, den_tok.col)
-        value = Fraction(num, den)
+        tok = self.peek()
+        value = self.literal()
         if value <= 0:
             raise ParseError("radius literal must be positive",
                              tok.line, tok.col)
@@ -330,12 +329,140 @@ class _Parser:
         self.expect(")")
         return Test(tok.kind, args, False, Pos(tok.line, tok.col))
 
+    # -- exact literals ------------------------------------------------------
+
+    def literal(self):
+        """A sum of products of signed factors, as a Fraction while it
+        is rational; only `sqrt` makes a tower element."""
+        value = self.product()
+        while self.peek().kind in ("+", "-"):
+            op = self.next().kind
+            rhs = self.product()
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def product(self):
+        value = self.factor()
+        while self.peek().kind in ("*", "/"):
+            op = self.next()
+            rhs = self.factor()
+            if op.kind == "*":
+                value = value * rhs
+            elif not rhs:
+                raise ParseError("division by zero", op.line, op.col)
+            else:
+                value = value / rhs
+        return value
+
+    def factor(self):
+        tok = self.next()
+        if tok.kind == "-":
+            return -self.factor()
+        if tok.kind == "INT":
+            return Fraction(int(tok.text))
+        if tok.kind == "DEC":
+            return Fraction(tok.text)
+        if tok.kind == "(":
+            value = self.literal()
+            self.expect(")")
+            return value
+        if tok.text == "sqrt":
+            if self.tower is None:
+                raise ParseError("a program literal must be rational",
+                                 tok.line, tok.col)
+            self.expect("(")
+            value = self.element()
+            self.expect(")")
+            try:
+                return value.sqrt()
+            except NegativeRadicandError:
+                raise ParseError("square root of a negative value",
+                                 tok.line, tok.col) from None
+        raise ParseError(f"expected a number, found "
+                         f"{tok.text or 'end of input'!r}", tok.line, tok.col)
+
+    def element(self) -> Constructible:
+        """The next literal as an element of the parser's tower."""
+        value = self.literal()
+        if isinstance(value, Fraction):
+            return self.tower.from_rational(value)
+        return value
+
+    # -- scene declarations --------------------------------------------------
+
+    def word(self, text: str | None = None) -> str:
+        """The next word: `text` when given, else any name or keyword."""
+        tok = self.next()
+        is_word = tok.kind == "NAME" or tok.kind in KEYWORDS
+        if not is_word or text not in (None, tok.text):
+            raise ParseError(f"expected {repr(text) if text else 'a name'}, "
+                             f"found {tok.text or 'end of input'!r}",
+                             tok.line, tok.col)
+        return tok.text
+
+    def pair(self) -> geom.Point:
+        self.expect("(")
+        x = self.literal()
+        self.expect(",")
+        y = self.literal()
+        self.expect(")")
+        return geom.point(self.tower, x, y)
+
+    def declaration(self) -> tuple:
+        """(head, name, object) of the one declaration its tokens hold;
+        the head is point, line, circle or target."""
+        head = self.next()
+        kind = head.text
+        if kind not in (POINT, LINE, CIRCLE, "target"):
+            raise ParseError(f"unknown declaration {kind!r}",
+                             head.line, head.col)
+        try:
+            if kind == "target":
+                self.expect(POINT)
+            name = self.word()
+            self.expect("=")
+            if kind == LINE:
+                self.word("through")
+                obj = geom.Line.through(self.pair(), self.pair())
+            elif kind == CIRCLE:
+                self.word("center")
+                center = self.pair()
+                self.word("r2")
+                obj = geom.Circle(center, self.element())
+            else:
+                obj = self.pair()
+            self.end()
+        except ParseError as exc:
+            raise ParseError(f"bad {kind} declaration: {exc.message}",
+                             exc.line, exc.col) from None
+        except DegenerateInputError as exc:
+            raise ParseError(f"bad {kind} {name!r}: {exc}",
+                             line=head.line) from None
+        return kind, name, obj
+
 
 def parse_program(text: str) -> Program:
     """Parse and statically check a construction program."""
     prog = _Parser(_tokenize(text)).program()
     check_program(prog)
     return prog
+
+
+def parse_literal(text: str, tower: Tower) -> Constructible:
+    """Read an exact literal such as `(1 + sqrt(5))/2` into the tower."""
+    parser = _Parser(_tokenize(text), tower)
+    value = parser.element()
+    parser.end()
+    return value
+
+
+def parse_declarations(text: str, tower: Tower):
+    """(line, head, name, object) of each declaration of a scene text,
+    in order; each line holds at most one."""
+    for line, raw in enumerate(text.splitlines(), start=1):
+        parser = _Parser(_tokenize(raw, line), tower)
+        if not parser.at("EOF"):
+            yield (line, *parser.declaration())
 
 
 def _fail(pos: Pos, message: str):

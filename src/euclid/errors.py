@@ -45,6 +45,7 @@ class ParseError(EuclidError):
         where = f" at line {line}" if line is not None else ""
         where += f", col {col}" if col is not None else ""
         super().__init__(message + where)
+        self.message = message
         self.line = line
         self.col = col
 

@@ -43,7 +43,6 @@ from fractions import Fraction
 
 from .errors import (
     NegativeRadicandError,
-    ParseError,
     ResourceLimitError,
     SessionMismatchError,
 )
@@ -226,9 +225,6 @@ class Tower:
         if type(q) is not int and type(q) is not Fraction:
             q = Fraction(q)
         return self._make(_rational_t(q))
-
-    def parse(self, text: str) -> "Constructible":
-        return parse_real(text, self)
 
     @property
     def height(self) -> int:
@@ -699,91 +695,3 @@ class Constructible:
 
     def __repr__(self):
         return f"<{self._expr()} ~ {self.to_float():.6g}>"
-
-
-# -- literal parser ----------------------------------------------------------
-
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return ""
-        ch = self.text[self.pos]
-        if ch.isdigit():
-            j = self.pos
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
-            return self.text[self.pos:j]
-        if ch.isalpha() or ch == "_":
-            j = self.pos
-            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-                j += 1
-            return self.text[self.pos:j]
-        return ch
-
-    def take(self) -> str:
-        t = self.peek()
-        self.pos += len(t)
-        return t
-
-
-def parse_real(text: str, tower: Tower) -> Constructible:
-    """Parse a literal like `(1+sqrt(5))/2` into an exact element."""
-    lx = _Lexer(text)
-    val = _parse_sum(lx, tower)
-    if lx.peek():
-        raise ParseError(f"unexpected {lx.peek()!r} in number literal", col=lx.pos)
-    return val
-
-
-def _parse_sum(lx: _Lexer, tw: Tower) -> Constructible:
-    v = _parse_product(lx, tw)
-    while lx.peek() in ("+", "-"):
-        op = lx.take()
-        rhs = _parse_product(lx, tw)
-        v = v + rhs if op == "+" else v - rhs
-    return v
-
-
-def _parse_product(lx: _Lexer, tw: Tower) -> Constructible:
-    v = _parse_atom(lx, tw)
-    while lx.peek() in ("*", "/"):
-        op = lx.take()
-        rhs = _parse_atom(lx, tw)
-        if op == "*":
-            v = v * rhs
-        else:
-            if not rhs:
-                raise ParseError("division by zero in number literal", col=lx.pos)
-            v = v / rhs
-    return v
-
-
-def _parse_atom(lx: _Lexer, tw: Tower) -> Constructible:
-    t = lx.peek()
-    if t == "-":
-        lx.take()
-        return -_parse_atom(lx, tw)
-    if t == "(":
-        lx.take()
-        v = _parse_sum(lx, tw)
-        if lx.take() != ")":
-            raise ParseError("expected ')' in number literal", col=lx.pos)
-        return v
-    if t == "sqrt":
-        lx.take()
-        if lx.take() != "(":
-            raise ParseError("expected '(' after sqrt", col=lx.pos)
-        v = _parse_sum(lx, tw)
-        if lx.take() != ")":
-            raise ParseError("expected ')' in number literal", col=lx.pos)
-        return v.sqrt()
-    if t.isdigit():
-        lx.take()
-        return tw.from_rational(int(t))
-    raise ParseError(f"unexpected {t!r} in number literal", col=lx.pos)

@@ -143,6 +143,46 @@ def test_run_script_oracle_violation_aborts(capsys, tmp_path):
     assert out.startswith("abort: oracle-violation")
 
 
+def test_run_script_oracle_reads_exact_literals(capsys, tmp_path):
+    cfg = tmp_path / "origin.cfg"
+    cfg.write_text("point A = (0, 0)\n", encoding="utf-8")
+    prog = tmp_path / "pick.construct"
+    prog.write_text("construction pick(point A) {\n"
+                    "  let P = arbitrary in_disk(A, 4);\n"
+                    "  return P;\n}\n", encoding="utf-8")
+    code, out, _ = invoke(capsys, "run", str(prog), str(cfg),
+                          "--oracle", "script:0,sqrt(2)")
+    assert code == 0
+    assert out == "P = (0, ~1.414214)\n"
+
+
+@pytest.mark.parametrize("script, message", [
+    ("script:0,sqrt(", "bad oracle script entry '0,sqrt('"),
+    ("script:1/0,0", "bad oracle script entry '1/0,0'"),
+    ("script:sqrt(-1),0", "bad oracle script entry 'sqrt(-1),0'"),
+    ("script:1,2,3", "bad oracle script entry '1,2,3'"),
+    ("script:", "empty oracle script"),
+])
+def test_run_bad_oracle_script(capsys, script, message):
+    code, out, err = invoke(capsys, "run", "midpoint", AB,
+                            "--oracle", script)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_scene_past_the_height_cap_is_a_resource_error(capsys, monkeypatch,
+                                                       tmp_path):
+    monkeypatch.setenv("EUCLID_HEIGHT_CAP", "1")
+    cfg = tmp_path / "roots.cfg"
+    cfg.write_text("point A = (0, 0)\npoint B = (sqrt(1 + sqrt(2)), 0)\n",
+                   encoding="utf-8")
+    code, out, err = invoke(capsys, "run", "midpoint", str(cfg))
+    assert code == 3
+    assert out == ""
+    assert err == "resource limit: tower height cap 1 exceeded\n"
+
+
 def test_run_bad_oracle_spec(capsys):
     code, _, err = invoke(capsys, "run", "midpoint", AB,
                           "--oracle", "dice")

@@ -14,6 +14,7 @@ from euclid.closure import (
     derivable,
     expand_once,
 )
+from euclid.dsl.parser import parse_literal
 from euclid.errors import ResourceLimitError
 from euclid.field import Tower
 from euclid.geom import Circle, Line, Point, point
@@ -274,7 +275,7 @@ def _outcome(res):
 
 
 def _pts(tw, coords):
-    return [Point(*(tw.parse(str(v)) for v in xy)) for xy in coords]
+    return [Point(*(parse_literal(str(v), tw) for v in xy)) for xy in coords]
 
 
 def _two_point_closure(coords):
@@ -335,7 +336,7 @@ def _a333944(p, q, rounds=2):
     (("sqrt(3)", 1), (0, "sqrt(5)")),
 ])
 def test_two_point_closure_counts_match_a333944(tw, seeds):
-    p, q = (Point(*(tw.parse(str(v)) for v in xy)) for xy in seeds)
+    p, q = (Point(*(parse_literal(str(v), tw) for v in xy)) for xy in seeds)
     assert _a333944(p, q) == [2, 6, 203]
 
 

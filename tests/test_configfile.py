@@ -59,6 +59,50 @@ def test_rational_literal_forms():
     assert scene["Q"] == point(tw, -3, Fraction(-1, 3))
 
 
+def test_irrational_coordinates_join_the_tower():
+    scene = parse_scene("point A = (0, sqrt(3))\n")
+    tw = scene.tower
+    assert tw.height == 1
+    assert scene["A"] == point(tw, 0, tw.from_rational(3).sqrt())
+    assert tw.height == 1
+
+
+def test_square_roots_of_squares_stay_rational():
+    scene = parse_scene("point A = (sqrt(4), -sqrt(9/4))\n")
+    assert scene.tower.height == 0
+    assert scene["A"] == point(scene.tower, 2, Fraction(-3, 2))
+
+
+def test_irrational_squared_radius():
+    scene = parse_scene("circle k = center (0, 0) r2 1 + sqrt(2)\n")
+    tw = scene.tower
+    assert scene["k"].r2 == 1 + tw.from_rational(2).sqrt()
+    assert tw.height == 1
+
+
+def test_literal_arithmetic():
+    scene = parse_scene("point P = (2*(1 - 0.5), -(1 + 1)/4)\n")
+    assert scene["P"] == point(scene.tower, 1, Fraction(-1, 2))
+
+
+def test_any_word_names_a_declaration():
+    scene = parse_scene("point line = (0, 0)\npoint through = (1, 0)\n"
+                        "target point center = (2, 0)\n")
+    assert scene.names() == ["line", "through", "center"]
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("point A = (0, 0) point B = (1, 1)", "trailing input 'point'", 1),
+    ("point A = (0,\n0)", "expected a number", 1),
+    ("\npoint A = (sqrt(-1), 0)", "square root of a negative value", 2),
+    ("point A = (0, 0) % 2", "unexpected character '%'", 1),
+])
+def test_a_declaration_ends_on_its_own_line(text, message, line):
+    with pytest.raises(ParseError, match=message) as info:
+        parse_scene(text)
+    assert info.value.line == line
+
+
 def test_shared_tower_session():
     tw = Tower()
     scene = parse_scene("point P = (1, 2)\n", tower=tw)
@@ -89,12 +133,13 @@ def test_inputs_fall_back_to_declaration_order():
     ("circle k = center (0, 0)", "bad circle declaration"),
     ("target M = (1, 0)", "bad target declaration"),
     ("triangle t = (0, 0)", "unknown declaration"),
-    ("point A = (1//2, 0)", "bad rational literal"),
-    ("point A = (1/0, 0)", "bad rational literal"),
+    ("point A = (1//2, 0)", "expected a number"),
+    ("point A = (1/0, 0)", "division by zero"),
 ])
 def test_malformed_declarations(text, message):
-    with pytest.raises(ParseError, match=message):
-        parse_scene(text)
+    with pytest.raises(ParseError, match=message) as info:
+        parse_scene("# a comment line\n" + text)
+    assert info.value.line == 2
 
 
 def test_parse_errors_carry_line_numbers():

@@ -120,6 +120,29 @@ def test_parse_errors_carry_positions():
             }""")
 
 
+@pytest.mark.parametrize("radius, r2", [
+    ("4", 4), ("1/4", Fraction(1, 4)), ("0.25 + 1/4", Fraction(1, 2)),
+    ("2*(3 - 1)/-(-8)", Fraction(1, 2)),
+])
+def test_disk_radii_are_rational_literals(radius, r2):
+    prog = parse_program(f"construction x(point A) {{ let P = arbitrary "
+                         f"in_disk(A, {radius}); return P; }}")
+    assert prog.body[0].region.r2 == r2
+
+
+@pytest.mark.parametrize("radius, message", [
+    ("sqrt(2)", "a program literal must be rational"),
+    ("1/0", "division by zero"),
+    ("1 - 2", "radius literal must be positive"),
+    ("1//2", "expected a number"),
+])
+def test_bad_disk_radii(radius, message):
+    with pytest.raises(ParseError, match=message) as info:
+        parse_program(f"construction x(point A) {{\n  let P = arbitrary "
+                      f"in_disk(A, {radius});\n  return P;\n}}")
+    assert info.value.line == 2
+
+
 def test_check_errors():
     with pytest.raises(CheckError, match="unknown name"):
         parse_program("construction x(point A) { let l = line(A, B); return l; }")

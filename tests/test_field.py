@@ -14,6 +14,7 @@ from euclid.errors import (
     SessionMismatchError,
 )
 from euclid import field
+from euclid.dsl.parser import parse_literal
 from euclid.field import (
     Constructible,
     Tower,
@@ -99,7 +100,7 @@ def test_char_poly_frozen_values():
     assert char_poly(r2) == [-2, 0, 1]
     assert char_poly(r2 + r3) == [1, 0, -10, 0, 1]
     assert char_poly(t.zero) == [0, 1]
-    golden = t.parse("(1+sqrt(5))/2")
+    golden = parse_literal("(1+sqrt(5))/2", t)
     assert char_poly(golden) == [-1, -1, 1]
 
 
@@ -255,19 +256,46 @@ def test_sign_transitivity_sampled():
 
 def test_parse_literals():
     t = Tower()
-    assert t.parse("3/4").as_rational() == Fraction(3, 4)
-    assert t.parse("-2").as_rational() == -2
-    assert t.parse("sqrt(2)*sqrt(2)") == 2
-    assert t.parse("(1+sqrt(5))/2") == (1 + t.from_rational(5).sqrt()) / 2
-    assert t.parse("1 - sqrt(9)") == -2
+    assert parse_literal("3/4", t).as_rational() == Fraction(3, 4)
+    assert parse_literal("-2", t).as_rational() == -2
+    assert parse_literal("sqrt(2)*sqrt(2)", t) == 2
+    assert parse_literal("(1+sqrt(5))/2", t) == \
+        (1 + t.from_rational(5).sqrt()) / 2
+    assert parse_literal("1 - sqrt(9)", t) == -2
     with pytest.raises(ParseError):
-        t.parse("sqrt(2")
+        parse_literal("sqrt(2", t)
     with pytest.raises(ParseError):
-        t.parse("2 +")
+        parse_literal("2 +", t)
     with pytest.raises(ParseError):
-        t.parse("1/0")
-    with pytest.raises(NegativeRadicandError):
-        t.parse("sqrt(1-2)")
+        parse_literal("1/0", t)
+    with pytest.raises(ParseError, match="square root of a negative"):
+        parse_literal("sqrt(1-2)", t)
+
+
+# (a, b): the next radicand is a + b*x, x the root taken before it
+_nest = st.lists(st.tuples(st.fractions(1, 9, max_denominator=4),
+                           st.fractions(0, 3, max_denominator=3)),
+                 max_size=8)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(nest=_nest, c=st.fractions(-9, 9, max_denominator=6),
+       d=st.fractions(-3, 3, max_denominator=3))
+@example(nest=[(2, 0)] + [(1, 1)] * 7, c=0, d=1)
+def test_element_text_loads_back_into_a_fresh_tower(nest, c, d):
+    """An element's `_expr()` text, read by the reader of scenes and
+    programs, is the same value at the same height in a fresh tower.
+    Radicands nest at most 8 deep here: past depth 8 `_expr` writes
+    `sqrt(r{i})`, a radicand name no reader knows until exact text
+    carries a radicand table."""
+    tw = Tower(height_cap=8)
+    x = tw.zero
+    for a, b in nest:
+        x = (a + b * x).sqrt()
+    value = c + d * x
+    loaded = parse_literal(value._expr(), Tower(height_cap=8))
+    assert loaded.height == value.height
+    assert parse_literal(loaded._expr(), tw) == value
 
 
 def test_hash_consistency_for_identical_builds():

@@ -1,6 +1,7 @@
 """The only lint tier-1 runs: no engine module imports a name it never
-uses, no module-level name of an engine module is dead, and the lower
-layers import nothing from the layers above them.  An
+uses, no module-level name of an engine module is dead, the lower
+layers import nothing from the layers above them, and one module reads
+exact text.  An
 imported name counts as used when any `ast.Name` in the module reads
 it, or when the module's `__all__` lists it.  A private function, class
 or assignment counts as used when its own module reads it, or when any
@@ -136,4 +137,30 @@ def test_lower_layers_import_no_upper_layer():
              for module in _euclid_imports(
                  ast.parse((SRC / "euclid" / f"{name}.py").read_text()))
              if module in UPPER]
+    assert found == []
+
+
+# The one reader of exact text, and the polynomial parser, whose terms
+# over x are not field elements and which folding in would lengthen.
+READERS = frozenset({"dsl/parser.py", "algebra.py"})
+
+
+def test_no_module_but_the_reader_tokenizes_text():
+    found = []
+    for path in sorted((SRC / "euclid").rglob("*.py")):
+        name = path.relative_to(SRC / "euclid").as_posix()
+        if name in READERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                modules = []
+            if "re" in modules:
+                found.append(f"{name}:{node.lineno} imports re")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and any(
+                    word in node.name.lower() for word in ("token", "lexer")):
+                found.append(f"{name}:{node.lineno} defines {node.name}")
     assert found == []
